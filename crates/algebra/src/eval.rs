@@ -1,5 +1,5 @@
-//! Plan evaluation: a pull-based streaming executor with a retained
-//! materializing reference evaluator.
+//! Plan evaluation: one pull-based streaming executor, plus the
+//! materializing reference evaluator kept as its differential-test oracle.
 //!
 //! Table contents come from a [`BagSource`]; the production source is
 //! [`PinnedState`], which acquires one read lock per distinct table *up
@@ -7,21 +7,21 @@
 //! lock (self-joins scan the same pinned bag twice) and concurrent
 //! evaluations cannot deadlock.
 //!
-//! Two evaluators share that interface:
-//!
-//! * [`eval_streaming`] (the default) executes the
-//!   [`crate::plan_opt::fuse`]d plan: operators yield `(tuple,
-//!   multiplicity)` pairs and fused `Filter`/`Project` chains run per
-//!   tuple, so selective change queries allocate **no** intermediate bags.
-//!   Pipeline breakers (`∸`, `ε`, `min`, `max`, `EXCEPT`, `×`) still
-//!   materialize — with the exact same bag primitives the reference
-//!   evaluator uses, so their multiplicity semantics (including `×`'s
-//!   saturating arithmetic) cannot drift. Hash-join build sides are
-//!   materialized once and, when the source exposes table epochs and a
-//!   [`JoinBuildCache`], reused across evaluations and views.
+//! * [`eval`] executes the [`crate::plan_opt::fuse`]d plan: operators
+//!   yield `(tuple, multiplicity)` pairs and fused `Filter`/`Project`
+//!   chains run per tuple, so selective change queries allocate **no**
+//!   intermediate bags. Pipeline breakers (`∸`, `ε`, `min`, `max`,
+//!   `EXCEPT`, `×`) still materialize — with the exact same bag primitives
+//!   the reference evaluator uses, so their multiplicity semantics
+//!   (including `×`'s saturating arithmetic) cannot drift. Hash-join build
+//!   sides are materialized once and, when the source exposes table epochs
+//!   and a [`JoinBuildCache`], reused across evaluations and views. The
+//!   same code profiles itself when `dvm_obs` profiling is on (see "the
+//!   probe" below) — there is no second executor to keep in sync.
 //! * [`eval_reference`] is the original strict bottom-up materializing
-//!   evaluator, kept as the differential-testing oracle and selectable at
-//!   runtime via [`set_eval_mode`] for apples-to-apples benchmarks.
+//!   evaluator. Nothing in the engine calls it; it exists so tests (and the
+//!   `exp_eval` baseline series) have an independent implementation to
+//!   compare [`eval`] against.
 //!
 //! Both normalize join keys identically: `Int` coerces to `Double` (so
 //! hash-equality coincides with `sql_cmp`'s comparison coercion) and NULL
@@ -32,16 +32,18 @@ use crate::error::Result;
 use crate::infer::CompiledQuery;
 use crate::plan::{PhysPredicate, Plan};
 use crate::plan_opt::{fuse, FusedOp, FusedPlan, FusedSource};
+use dvm_obs::OpProf;
 use dvm_storage::lock::OwnedReadGuard;
 use dvm_storage::{
     Bag, BuildDeps, Catalog, FxHashMap, JoinBuild, JoinBuildCache, Snapshot, StorageError, Tuple,
     Value,
 };
 use std::borrow::Cow;
-use std::time::Instant;
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Read access to named bags for the duration of one evaluation.
 pub trait BagSource {
@@ -219,41 +221,36 @@ impl BagSource for HashMap<String, Bag> {
     }
 }
 
-/// Which evaluator [`eval`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalMode {
-    /// The fused streaming executor (default).
-    Streaming,
-    /// The materializing reference evaluator (oracle / baseline).
-    Reference,
-}
-
-static EVAL_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Select the evaluator used by [`eval`] (process-wide). Intended for
-/// benchmark binaries comparing the two executors; tests comparing them
-/// should call [`eval_streaming`]/[`eval_reference`] directly instead, so
-/// they stay correct under parallel test execution.
-pub fn set_eval_mode(mode: EvalMode) {
-    EVAL_MODE.store(mode as u8, Ordering::SeqCst);
-}
-
-/// The currently selected evaluator.
-pub fn eval_mode() -> EvalMode {
-    if EVAL_MODE.load(Ordering::SeqCst) == EvalMode::Reference as u8 {
-        EvalMode::Reference
-    } else {
-        EvalMode::Streaming
-    }
-}
-
-/// Evaluate a plan against a bag source, returning an owned bag. Dispatches
-/// on [`eval_mode`] (streaming unless a benchmark flipped it).
+/// Evaluate a plan against a bag source, returning an owned bag.
+///
+/// When `dvm_obs` profiling is enabled, the same executor runs with its
+/// probe on: it produces the identical bag while building an
+/// `EXPLAIN ANALYZE`-style [`OpProf`] tree (rows in/out and wall nanos per
+/// operator), deposited in the calling thread's capture buffer for the
+/// maintenance driver to claim. The disabled path pays one relaxed atomic
+/// load here and one branch per pipeline *stage constructed* — nothing per
+/// tuple.
 pub fn eval(plan: &Plan, src: &dyn BagSource) -> Result<Bag> {
-    match eval_mode() {
-        EvalMode::Streaming => eval_streaming(plan, src),
-        EvalMode::Reference => eval_reference(plan, src),
+    if !dvm_obs::profiling_on() {
+        return Ok(eval_to_bag(plan, src, None)?.into_owned());
     }
+    let (bag, tree) = eval_probed(plan, src)?;
+    dvm_obs::profile::record_eval(tree);
+    Ok(bag)
+}
+
+/// [`eval`] with the probe on: the result bag plus its annotated tree.
+fn eval_probed(plan: &Plan, src: &dyn BagSource) -> Result<(Bag, OpProf)> {
+    let t = Instant::now();
+    let mut root = Vec::with_capacity(1);
+    let bag = eval_to_bag(plan, src, Some(&mut root))?.into_owned();
+    let mut tree = root.pop().expect("one node per plan").finish();
+    // Per-operator timers cannot see the driver's own work (pipeline
+    // setup, result materialization, tree assembly), so lift the root's
+    // inclusive time to the call's wall time — the difference becomes root
+    // self time and the tree telescopes to what the caller actually waited.
+    tree.nanos = tree.nanos.max(t.elapsed().as_nanos() as u64);
+    Ok((bag, tree))
 }
 
 /// Evaluate a compiled query against the current catalog state, pinning the
@@ -263,47 +260,154 @@ pub fn eval_in_catalog(query: &CompiledQuery, catalog: &Catalog) -> Result<Bag> 
     eval(&query.plan, &pinned)
 }
 
-// ---- streaming executor ---------------------------------------------------
+// ---- the probe --------------------------------------------------------------
+//
+// Consulted only where a stage is *constructed*: off, no `Timed` wrapper,
+// counter cell or `Instant::now` is ever created, so the per-tuple path is
+// exactly the unprobed closure chain.
+//
+// Timing model: all times are inclusive. An eagerly evaluated operator (a
+// breaker, a join build) is timed around its whole evaluation, inputs
+// included. A pipeline stage is charged the wall time its pipeline took to
+// *build* (breaker materialization and hash-join builds happen there) plus
+// the time spent inside its [`Timed`] `next()` calls, which includes the
+// upstream stages it pulls from. Exclusive times then telescope back to
+// the root's inclusive total.
 
-/// Evaluate with the fused streaming executor.
-///
-/// When `dvm_obs` profiling is enabled, the profiled twin runs instead: it
-/// produces the identical bag while building an `EXPLAIN ANALYZE`-style
-/// [`dvm_obs::OpProf`] tree (rows in/out and wall nanos per operator),
-/// deposited in the calling thread's capture buffer for the maintenance
-/// driver to claim. The disabled path pays one relaxed atomic load.
-pub fn eval_streaming(plan: &Plan, src: &dyn BagSource) -> Result<Bag> {
-    if dvm_obs::profiling_on() {
-        let t = Instant::now();
-        let (bag, mut tree) = prof::eval_to_bag_prof(plan, src)?;
-        let bag = bag.into_owned();
-        // Per-operator timers cannot see the driver's own work (pipeline
-        // setup, result materialization, tree assembly), so lift the
-        // root's inclusive time to the call's wall time — the difference
-        // becomes root self time and the tree telescopes to what the
-        // caller actually waited.
-        tree.nanos = tree.nanos.max(t.elapsed().as_nanos() as u64);
-        dvm_obs::profile::record_eval(tree);
-        return Ok(bag);
-    }
-    Ok(eval_to_bag(plan, src)?.into_owned())
+/// Where an evaluation deposits the profile node of the operator it
+/// evaluates: `None` when the probe is off.
+type Sink<'p> = Option<&'p mut Vec<PNode>>;
+
+/// Rows yielded and inclusive nanos of one operator; shared with the
+/// operator's [`Timed`] wrapper while a pipeline stage is still streaming.
+#[derive(Default)]
+struct Counter {
+    rows: Cell<u64>,
+    nanos: Cell<u64>,
 }
+
+/// One operator of a probed evaluation, its inputs below it.
+struct PNode {
+    label: String,
+    cell: Rc<Counter>,
+    children: Vec<PNode>,
+}
+
+impl PNode {
+    /// An operator that has yielded `rows` pairs and run since `started`.
+    fn new(label: String, rows: u64, started: Instant, children: Vec<PNode>) -> PNode {
+        let cell = Rc::new(Counter::default());
+        cell.rows.set(rows);
+        cell.nanos.set(started.elapsed().as_nanos() as u64);
+        PNode {
+            label,
+            cell,
+            children,
+        }
+    }
+
+    /// A pipeline stage under construction since `started`: `inner` comes
+    /// back wrapped so that draining it keeps the node's counters current.
+    fn stage<'s>(
+        label: String,
+        started: Instant,
+        children: Vec<PNode>,
+        inner: TupleStream<'s>,
+    ) -> (PNode, TupleStream<'s>) {
+        let node = PNode::new(label, 0, started, children);
+        let cell = Rc::clone(&node.cell);
+        (node, Box::new(Timed { inner, cell }))
+    }
+
+    /// Convert the (drained) tree into finished [`OpProf`]s. Inclusive time
+    /// is floored at the children's total, so exclusive times never wrap.
+    fn finish(self) -> OpProf {
+        let children: Vec<OpProf> = self.children.into_iter().map(PNode::finish).collect();
+        let child_sum: u64 = children.iter().map(|c| c.nanos).sum();
+        OpProf {
+            label: self.label,
+            rows_in: children.iter().map(|c| c.rows_out).sum(),
+            rows_out: self.cell.rows.get(),
+            nanos: self.cell.nanos.get().max(child_sum),
+            children,
+        }
+    }
+}
+
+/// Counts yielded pairs and accumulates wall time spent inside `next()` —
+/// inclusive of every streamed stage upstream.
+struct Timed<'s> {
+    inner: TupleStream<'s>,
+    cell: Rc<Counter>,
+}
+
+impl Iterator for Timed<'_> {
+    type Item = Result<(Tuple, u64)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let start = Instant::now();
+        let item = self.inner.next();
+        self.cell
+            .nanos
+            .set(self.cell.nanos.get() + start.elapsed().as_nanos() as u64);
+        if item.is_some() {
+            self.cell.rows.set(self.cell.rows.get() + 1);
+        }
+        item
+    }
+}
+
+// ---- streaming executor ---------------------------------------------------
 
 /// A pull-based stream of `(tuple, multiplicity)` pairs. Errors (missing
 /// tables, multiplicity overflow) flow through as items.
 type TupleStream<'s> = Box<dyn Iterator<Item = Result<(Tuple, u64)>> + 's>;
 
 /// Evaluate a plan to a bag, streaming wherever the fused shape allows and
-/// falling back to the exact bag primitives at pipeline breakers.
-fn eval_to_bag<'a>(plan: &'a Plan, src: &'a dyn BagSource) -> Result<Cow<'a, Bag>> {
+/// falling back to the exact bag primitives at pipeline breakers. With a
+/// sink, reports exactly one profile node for `plan`.
+fn eval_to_bag<'a>(plan: &'a Plan, src: &'a dyn BagSource, prof: Sink<'_>) -> Result<Cow<'a, Bag>> {
+    let Some(sink) = prof else {
+        return eval_node(plan, src, None);
+    };
+    let label = match plan {
+        // A streamed plan reports its pipeline's root stage itself.
+        Plan::Filter(..) | Plan::Project(..) | Plan::Union(..) | Plan::HashJoin { .. } => {
+            return eval_node(plan, src, Some(sink));
+        }
+        Plan::Scan(name) => format!("Scan {name}"),
+        Plan::Literal(_) => "Literal".to_string(),
+        Plan::DupElim(_) => "DupElim (ε)".to_string(),
+        Plan::Monus(..) => "Monus (∸)".to_string(),
+        Plan::Product(..) => "Product (×)".to_string(),
+        Plan::MinIntersect(..) => "MinIntersect (min)".to_string(),
+        Plan::MaxUnion(..) => "MaxUnion (max)".to_string(),
+        Plan::Except(..) => "Except".to_string(),
+        Plan::GroupAggregate { .. } => "GroupAggregate".to_string(),
+    };
+    let started = Instant::now();
+    let mut inputs = Vec::new();
+    let bag = eval_node(plan, src, Some(&mut inputs))?;
+    let rows = bag.distinct_len() as u64;
+    sink.push(PNode::new(label, rows, started, inputs));
+    Ok(bag)
+}
+
+/// [`eval_to_bag`]'s operator match; `inputs` is where the operator's
+/// inputs (for a streamed plan: its pipeline's root stage) report.
+fn eval_node<'a>(
+    plan: &'a Plan,
+    src: &'a dyn BagSource,
+    mut inputs: Sink<'_>,
+) -> Result<Cow<'a, Bag>> {
     Ok(match plan {
         Plan::Scan(name) => Cow::Borrowed(src.bag(name)?),
         Plan::Literal(bag) => Cow::Borrowed(bag),
         // Pipeline breakers: exact bag primitives, streaming children.
-        Plan::DupElim(a) => Cow::Owned(eval_to_bag(a, src)?.dedup()),
+        Plan::DupElim(a) => Cow::Owned(eval_to_bag(a, src, inputs)?.dedup()),
         Plan::Monus(a, b) => {
-            let x = eval_to_bag(a, src)?;
-            let y = eval_to_bag(b, src)?;
+            let x = eval_to_bag(a, src, inputs.as_deref_mut())?;
+            let y = eval_to_bag(b, src, inputs)?;
             match x {
                 Cow::Owned(mut owned) => {
                     owned.monus_assign(&y);
@@ -313,34 +417,34 @@ fn eval_to_bag<'a>(plan: &'a Plan, src: &'a dyn BagSource) -> Result<Cow<'a, Bag
             }
         }
         Plan::Product(a, b) => {
-            let x = eval_to_bag(a, src)?;
-            let y = eval_to_bag(b, src)?;
+            let x = eval_to_bag(a, src, inputs.as_deref_mut())?;
+            let y = eval_to_bag(b, src, inputs)?;
             Cow::Owned(x.product(&y))
         }
         Plan::MinIntersect(a, b) => {
-            let x = eval_to_bag(a, src)?;
-            let y = eval_to_bag(b, src)?;
+            let x = eval_to_bag(a, src, inputs.as_deref_mut())?;
+            let y = eval_to_bag(b, src, inputs)?;
             Cow::Owned(x.min_intersect(&y))
         }
         Plan::MaxUnion(a, b) => {
-            let x = eval_to_bag(a, src)?;
-            let y = eval_to_bag(b, src)?;
+            let x = eval_to_bag(a, src, inputs.as_deref_mut())?;
+            let y = eval_to_bag(b, src, inputs)?;
             Cow::Owned(x.max_union(&y))
         }
         Plan::Except(a, b) => {
-            let x = eval_to_bag(a, src)?;
-            let y = eval_to_bag(b, src)?;
+            let x = eval_to_bag(a, src, inputs.as_deref_mut())?;
+            let y = eval_to_bag(b, src, inputs)?;
             Cow::Owned(x.except_all_occurrences(&y))
         }
         Plan::GroupAggregate { keys, aggs, input } => {
-            let b = eval_to_bag(input, src)?;
+            let b = eval_to_bag(input, src, inputs)?;
             Cow::Owned(group_aggregate_bag(&b, keys, aggs))
         }
         // Streamable shapes: fuse and drain the pipeline into one bag.
         Plan::Filter(..) | Plan::Project(..) | Plan::Union(..) | Plan::HashJoin { .. } => {
             let fused = fuse(plan);
             let mut out = Bag::new();
-            for item in stream(&fused, src)? {
+            for item in stream(&fused, src, inputs)? {
                 let (t, m) = item?;
                 out.insert_n(t, m);
             }
@@ -354,20 +458,33 @@ fn eval_to_bag<'a>(plan: &'a Plan, src: &'a dyn BagSource) -> Result<Cow<'a, Bag
 /// by a leading filter is never cloned, and the first projection allocates
 /// directly from the borrow — the selective-change-query hot path does no
 /// work at all for non-qualifying tuples.
-fn stream<'s>(fp: &'s FusedPlan<'s>, src: &'s dyn BagSource) -> Result<TupleStream<'s>> {
-    let ops = fp.ops.as_slice();
+///
+/// With a probe, the source stage runs an *empty* op chain (so bag-backed
+/// sources clone each tuple up front — a refcount bump, the small price of
+/// per-operator attribution), every fused op becomes its own [`Timed`]
+/// stage on top, and the pipeline's root stage is reported to `prof`.
+fn stream<'s>(
+    fp: &'s FusedPlan<'s>,
+    src: &'s dyn BagSource,
+    prof: Sink<'_>,
+) -> Result<TupleStream<'s>> {
+    let started = prof.is_some().then(Instant::now);
+    let on = started.is_some();
+    let ops = if on { &[] } else { fp.ops.as_slice() };
     let over_bag = |bag: &'s Bag| -> TupleStream<'s> {
         Box::new(
             bag.iter()
                 .filter_map(move |(t, m)| apply_ops_ref(t, m, ops).map(Ok)),
         )
     };
-    Ok(match &fp.source {
+    let mut inputs = Vec::new();
+    let mut build_side = "right";
+    let s = match &fp.source {
         FusedSource::Scan(name) => over_bag(src.bag(name)?),
         FusedSource::Literal(bag) => over_bag(bag),
         FusedSource::Union(a, b) => {
-            let sa = stream(a, src)?;
-            let sb = stream(b, src)?;
+            let sa = stream(a, src, on.then_some(&mut inputs))?;
+            let sb = stream(b, src, on.then_some(&mut inputs))?;
             apply_ops(Box::new(sa.chain(sb)), ops)
         }
         FusedSource::Join {
@@ -389,14 +506,15 @@ fn stream<'s>(fp: &'s FusedPlan<'s>, src: &'s dyn BagSource) -> Result<TupleStre
                 && reusable_build(left_plan, src)
                 && !reusable_build(right_plan, src);
             let (build_plan, build_keys, probe_fp, probe_keys) = if build_left {
+                build_side = "left";
                 (*left_plan, *left_keys, &**right, *right_keys)
             } else {
                 (*right_plan, *right_keys, &**left, *left_keys)
             };
-            let table = build_join_table(build_plan, build_keys, src)?;
+            let table = build_join_table(build_plan, build_keys, src, on.then_some(&mut inputs))?;
             apply_ops(
                 Box::new(JoinProbe {
-                    probe: stream(probe_fp, src)?,
+                    probe: stream(probe_fp, src, on.then_some(&mut inputs))?,
                     build: table,
                     probe_keys,
                     residual,
@@ -407,11 +525,40 @@ fn stream<'s>(fp: &'s FusedPlan<'s>, src: &'s dyn BagSource) -> Result<TupleStre
                 ops,
             )
         }
-        FusedSource::Breaker(plan) => match eval_to_bag(plan, src)? {
+        FusedSource::Breaker(plan) => match eval_to_bag(plan, src, on.then_some(&mut inputs))? {
             Cow::Borrowed(bag) => over_bag(bag),
             Cow::Owned(bag) => apply_ops(Box::new(bag.into_iter().map(Ok)), ops),
         },
-    })
+    };
+    let (Some(parent), Some(started)) = (prof, started) else {
+        return Ok(s);
+    };
+    // A bag-backed source does no work of its own: it is reported as a leaf
+    // yielding the whole bag (pipelines are always drained) instead of
+    // paying two clock reads for every tuple it hands over.
+    let (label, leaf) = match &fp.source {
+        FusedSource::Scan(name) => (format!("Scan {name}"), Some(src.bag(name)?.distinct_len())),
+        FusedSource::Literal(bag) => ("Literal".to_string(), Some(bag.distinct_len())),
+        FusedSource::Union(..) => ("Union (⊎)".to_string(), None),
+        FusedSource::Join { .. } => (format!("HashJoin (build={build_side})"), None),
+        // The stage's cell times the drain of the materialized result
+        // into the pipeline; the eval itself is the eager child.
+        FusedSource::Breaker(_) => ("Stream".to_string(), None),
+    };
+    let (mut node, mut s) = match leaf {
+        Some(rows) => (PNode::new(label, rows as u64, started, inputs), s),
+        None => PNode::stage(label, started, inputs, s),
+    };
+    for op in &fp.ops {
+        let label = match op {
+            FusedOp::Filter(_) => "Filter".to_string(),
+            FusedOp::Project(cols) => format!("Project [{}]", cols.len()),
+        };
+        let staged = apply_ops(s, std::slice::from_ref(op));
+        (node, s) = PNode::stage(label, started, vec![node], staged);
+    }
+    parent.push(node);
+    Ok(s)
 }
 
 /// Apply a fused op chain to a *borrowed* tuple. Leading filters run on the
@@ -419,34 +566,32 @@ fn stream<'s>(fp: &'s FusedPlan<'s>, src: &'s dyn BagSource) -> Result<TupleStre
 /// projection replaces the clone entirely (it allocates the projected tuple
 /// straight from the borrow).
 fn apply_ops_ref(t: &Tuple, m: u64, ops: &[FusedOp]) -> Option<(Tuple, u64)> {
-    let mut i = 0;
-    while i < ops.len() {
-        match &ops[i] {
+    for (i, op) in ops.iter().enumerate() {
+        match op {
             FusedOp::Filter(pred) => {
                 if !pred.eval(t) {
                     return None;
                 }
-                i += 1;
             }
-            FusedOp::Project(cols) => {
-                let mut owned = t.project(cols);
-                i += 1;
-                while i < ops.len() {
-                    match &ops[i] {
-                        FusedOp::Filter(pred) => {
-                            if !pred.eval(&owned) {
-                                return None;
-                            }
-                        }
-                        FusedOp::Project(cols) => owned = owned.project(cols),
-                    }
-                    i += 1;
-                }
-                return Some((owned, m));
-            }
+            FusedOp::Project(cols) => return apply_ops_owned(t.project(cols), m, &ops[i + 1..]),
         }
     }
     Some((t.clone(), m))
+}
+
+/// Apply a fused op chain to an owned tuple.
+fn apply_ops_owned(mut t: Tuple, m: u64, ops: &[FusedOp]) -> Option<(Tuple, u64)> {
+    for op in ops {
+        match op {
+            FusedOp::Filter(pred) => {
+                if !pred.eval(&t) {
+                    return None;
+                }
+            }
+            FusedOp::Project(cols) => t = t.project(cols),
+        }
+    }
+    Some((t, m))
 }
 
 /// Wrap a stream of owned tuples with a fused per-tuple op chain. One
@@ -455,22 +600,9 @@ fn apply_ops<'s>(base: TupleStream<'s>, ops: &'s [FusedOp<'s>]) -> TupleStream<'
     if ops.is_empty() {
         return base;
     }
-    Box::new(base.filter_map(move |item| {
-        let (mut t, m) = match item {
-            Ok(pair) => pair,
-            Err(e) => return Some(Err(e)),
-        };
-        for op in ops {
-            match op {
-                FusedOp::Filter(pred) => {
-                    if !pred.eval(&t) {
-                        return None;
-                    }
-                }
-                FusedOp::Project(cols) => t = t.project(cols),
-            }
-        }
-        Some(Ok((t, m)))
+    Box::new(base.filter_map(move |item| match item {
+        Ok((t, m)) => apply_ops_owned(t, m, ops).map(Ok),
+        Err(e) => Some(Err(e)),
     }))
 }
 
@@ -508,11 +640,17 @@ fn normalize_key_into(t: &Tuple, keys: &[usize], scratch: &mut Vec<Value>) -> bo
 /// the entry is valid only at exactly the observed epochs. Overlay-style
 /// sources that override some tables simply report no epoch for them,
 /// which disables caching for affected subtrees.
+///
+/// With a sink, reports a `JoinBuild` node over the build subtree — or, on
+/// a cache hit, a `JoinBuild (cached)` leaf whose time is just the lookup.
 fn build_join_table(
     build_plan: &Plan,
     right_keys: &[usize],
     src: &dyn BagSource,
+    prof: Sink<'_>,
 ) -> Result<Arc<JoinBuild>> {
+    let started = prof.is_some().then(Instant::now);
+    let mut inputs = Vec::new();
     let cache_ctx = src.join_cache().and_then(|cache| {
         let mut deps: BuildDeps = Vec::new();
         for table in build_plan.tables() {
@@ -523,24 +661,33 @@ fn build_join_table(
         }
         Some((build_plan.fingerprint128(right_keys), deps, cache))
     });
-    if let Some((key, deps, cache)) = &cache_ctx {
-        if let Some(hit) = cache.lookup(*key, deps) {
-            return Ok(hit);
+    let hit = cache_ctx
+        .as_ref()
+        .and_then(|(key, deps, cache)| cache.lookup(*key, deps));
+    let mut label = "JoinBuild (cached)";
+    let table = match hit {
+        Some(hit) => hit,
+        None => {
+            label = "JoinBuild";
+            let bag = eval_to_bag(build_plan, src, prof.is_some().then_some(&mut inputs))?;
+            let mut table = JoinBuild::default();
+            let mut scratch: Vec<Value> = Vec::with_capacity(right_keys.len());
+            for (t, m) in bag.iter() {
+                if !normalize_key_into(t, right_keys, &mut scratch) {
+                    continue;
+                }
+                group_entry(&mut table, &scratch).push((t.clone(), m));
+            }
+            let table = Arc::new(table);
+            if let Some((key, deps, cache)) = cache_ctx {
+                cache.insert(key, deps, Arc::clone(&table));
+            }
+            table
         }
-    }
-
-    let bag = eval_to_bag(build_plan, src)?;
-    let mut table = JoinBuild::default();
-    let mut scratch: Vec<Value> = Vec::with_capacity(right_keys.len());
-    for (t, m) in bag.iter() {
-        if !normalize_key_into(t, right_keys, &mut scratch) {
-            continue;
-        }
-        group_entry(&mut table, &scratch).push((t.clone(), m));
-    }
-    let table = Arc::new(table);
-    if let Some((key, deps, cache)) = cache_ctx {
-        cache.insert(key, deps, Arc::clone(&table));
+    };
+    if let (Some(sink), Some(started)) = (prof, started) {
+        let rows = table.values().map(|v| v.len() as u64).sum();
+        sink.push(PNode::new(label.to_string(), rows, started, inputs));
     }
     Ok(table)
 }
@@ -606,394 +753,12 @@ impl Iterator for JoinProbe<'_> {
     }
 }
 
-// ---- profiled streaming executor ------------------------------------------
-
-mod prof {
-    //! A profiled twin of the streaming executor: same fused shapes, same
-    //! bag primitives, same build-side selection — so its output is
-    //! byte-identical to [`eval_streaming`]'s — but every pipeline stage
-    //! and every materializing breaker is wrapped in rows/nanos counters
-    //! that assemble into one [`OpProf`] tree per evaluation.
-    //!
-    //! Timing model: a [`Timed`] stage accumulates the wall time spent
-    //! inside its `next()` calls, which *includes* the upstream stages it
-    //! pulls from — i.e. streamed cells measure inclusive time directly.
-    //! Work done eagerly before a pipeline starts (breaker materialization,
-    //! hash-join builds) is invisible to the cells, so it is carried as
-    //! finished [`OpProf`] children plus an `extra` credit on the node that
-    //! triggered it; [`PNode::finish`] reconciles both so that exclusive
-    //! times telescope back to the root's inclusive total.
-
-    use super::*;
-    use dvm_obs::OpProf;
-    use std::cell::Cell;
-    use std::rc::Rc;
-    use std::time::Instant;
-
-    /// Live counters shared between a [`Timed`] wrapper and its [`PNode`].
-    #[derive(Default)]
-    struct Counter {
-        rows: Cell<u64>,
-        nanos: Cell<u64>,
-    }
-
-    /// Counts yielded pairs and accumulates wall time spent inside
-    /// `next()` — inclusive of every streamed stage upstream.
-    struct Timed<'s> {
-        inner: TupleStream<'s>,
-        cell: Rc<Counter>,
-    }
-
-    impl Iterator for Timed<'_> {
-        type Item = Result<(Tuple, u64)>;
-
-        fn next(&mut self) -> Option<Self::Item> {
-            let start = Instant::now();
-            let item = self.inner.next();
-            self.cell
-                .nanos
-                .set(self.cell.nanos.get() + start.elapsed().as_nanos() as u64);
-            if item.is_some() {
-                self.cell.rows.set(self.cell.rows.get() + 1);
-            }
-            item
-        }
-    }
-
-    /// A child of an in-flight profile node: `Live` stages stream inside
-    /// the same pull pipeline (their cell time is contained in the
-    /// parent's cell), `Done` subtrees were evaluated eagerly before the
-    /// pipeline started (their time is *not* in any cell).
-    enum PChild {
-        Live(PNode),
-        Done(OpProf),
-    }
-
-    /// One in-flight stage of the profiled pipeline.
-    struct PNode {
-        label: String,
-        cell: Rc<Counter>,
-        /// Eager nanos attributed to this node but invisible to its cell
-        /// (e.g. the hash-join build that ran before probing started).
-        extra: u64,
-        children: Vec<PChild>,
-    }
-
-    impl PNode {
-        /// Convert the drained pipeline into a finished [`OpProf`] tree.
-        fn finish(self) -> OpProf {
-            let children: Vec<OpProf> = self
-                .children
-                .into_iter()
-                .map(|c| match c {
-                    PChild::Live(n) => n.finish(),
-                    PChild::Done(op) => op,
-                })
-                .collect();
-            let rows_in = children.iter().map(|c| c.rows_out).sum();
-            let child_sum: u64 = children.iter().map(|c| c.nanos).sum();
-            // The cell observed all streamed work below it; `extra` adds
-            // the eager work it triggered. Deeper eager work (under a
-            // live child) is invisible to both, so inclusive time is at
-            // least the children's total.
-            let nanos = (self.cell.nanos.get() + self.extra).max(child_sum);
-            OpProf {
-                label: self.label,
-                rows_in,
-                rows_out: self.cell.rows.get(),
-                nanos,
-                children,
-            }
-        }
-    }
-
-    /// Wrap a stream in a [`Timed`] stage and its profile node.
-    fn timed<'s>(
-        label: impl Into<String>,
-        inner: TupleStream<'s>,
-        children: Vec<PChild>,
-        extra: u64,
-    ) -> (TupleStream<'s>, PNode) {
-        let cell = Rc::new(Counter::default());
-        let stream: TupleStream<'s> = Box::new(Timed {
-            inner,
-            cell: Rc::clone(&cell),
-        });
-        (
-            stream,
-            PNode {
-                label: label.into(),
-                cell,
-                extra,
-                children,
-            },
-        )
-    }
-
-    /// A finished node for an eagerly-computed operator: inclusive time is
-    /// its own primitive time plus the children's inclusive totals.
-    fn eager(label: &str, own_nanos: u64, rows_out: u64, children: Vec<OpProf>) -> OpProf {
-        let rows_in = children.iter().map(|c| c.rows_out).sum();
-        let nanos = own_nanos + children.iter().map(|c| c.nanos).sum::<u64>();
-        OpProf {
-            label: label.to_string(),
-            rows_in,
-            rows_out,
-            nanos,
-            children,
-        }
-    }
-
-    /// Profiled twin of [`eval_to_bag`]: identical result, plus the
-    /// annotated tree.
-    pub(super) fn eval_to_bag_prof<'a>(
-        plan: &'a Plan,
-        src: &'a dyn BagSource,
-    ) -> Result<(Cow<'a, Bag>, OpProf)> {
-        Ok(match plan {
-            Plan::Scan(name) => {
-                let bag = src.bag(name)?;
-                let p = OpProf::leaf(format!("Scan {name}"), bag.distinct_len() as u64, 0);
-                (Cow::Borrowed(bag), p)
-            }
-            Plan::Literal(bag) => {
-                let p = OpProf::leaf("Literal", bag.distinct_len() as u64, 0);
-                (Cow::Borrowed(bag), p)
-            }
-            Plan::DupElim(a) => {
-                let (x, px) = eval_to_bag_prof(a, src)?;
-                let t = Instant::now();
-                let out = x.dedup();
-                let own = t.elapsed().as_nanos() as u64;
-                let p = eager("DupElim (ε)", own, out.distinct_len() as u64, vec![px]);
-                (Cow::Owned(out), p)
-            }
-            Plan::Monus(a, b) => {
-                let (x, px) = eval_to_bag_prof(a, src)?;
-                let (y, py) = eval_to_bag_prof(b, src)?;
-                let t = Instant::now();
-                let out = match x {
-                    Cow::Owned(mut owned) => {
-                        owned.monus_assign(&y);
-                        owned
-                    }
-                    Cow::Borrowed(b_ref) => b_ref.monus(&y),
-                };
-                let own = t.elapsed().as_nanos() as u64;
-                let p = eager("Monus (∸)", own, out.distinct_len() as u64, vec![px, py]);
-                (Cow::Owned(out), p)
-            }
-            Plan::Product(a, b) => {
-                let (x, px) = eval_to_bag_prof(a, src)?;
-                let (y, py) = eval_to_bag_prof(b, src)?;
-                let t = Instant::now();
-                let out = x.product(&y);
-                let own = t.elapsed().as_nanos() as u64;
-                let p = eager("Product (×)", own, out.distinct_len() as u64, vec![px, py]);
-                (Cow::Owned(out), p)
-            }
-            Plan::MinIntersect(a, b) => {
-                let (x, px) = eval_to_bag_prof(a, src)?;
-                let (y, py) = eval_to_bag_prof(b, src)?;
-                let t = Instant::now();
-                let out = x.min_intersect(&y);
-                let own = t.elapsed().as_nanos() as u64;
-                let p = eager("MinIntersect (min)", own, out.distinct_len() as u64, vec![px, py]);
-                (Cow::Owned(out), p)
-            }
-            Plan::MaxUnion(a, b) => {
-                let (x, px) = eval_to_bag_prof(a, src)?;
-                let (y, py) = eval_to_bag_prof(b, src)?;
-                let t = Instant::now();
-                let out = x.max_union(&y);
-                let own = t.elapsed().as_nanos() as u64;
-                let p = eager("MaxUnion (max)", own, out.distinct_len() as u64, vec![px, py]);
-                (Cow::Owned(out), p)
-            }
-            Plan::Except(a, b) => {
-                let (x, px) = eval_to_bag_prof(a, src)?;
-                let (y, py) = eval_to_bag_prof(b, src)?;
-                let t = Instant::now();
-                let out = x.except_all_occurrences(&y);
-                let own = t.elapsed().as_nanos() as u64;
-                let p = eager("Except", own, out.distinct_len() as u64, vec![px, py]);
-                (Cow::Owned(out), p)
-            }
-            Plan::GroupAggregate { keys, aggs, input } => {
-                let (b, pb) = eval_to_bag_prof(input, src)?;
-                let t = Instant::now();
-                let out = group_aggregate_bag(&b, keys, aggs);
-                let own = t.elapsed().as_nanos() as u64;
-                let p = eager("GroupAggregate", own, out.distinct_len() as u64, vec![pb]);
-                (Cow::Owned(out), p)
-            }
-            Plan::Filter(..) | Plan::Project(..) | Plan::Union(..) | Plan::HashJoin { .. } => {
-                let fused = fuse(plan);
-                let (s, node) = stream_prof(&fused, src)?;
-                let mut out = Bag::new();
-                for item in s {
-                    let (t, m) = item?;
-                    out.insert_n(t, m);
-                }
-                (Cow::Owned(out), node.finish())
-            }
-        })
-    }
-
-    /// Profiled twin of [`stream`]: each fused op is its own timed stage.
-    ///
-    /// Bag-backed sources clone tuples up front (a refcount bump each)
-    /// instead of using [`apply_ops_ref`]'s borrow fast path — the small
-    /// price of per-operator attribution, paid only while profiling.
-    fn stream_prof<'s>(
-        fp: &'s FusedPlan<'s>,
-        src: &'s dyn BagSource,
-    ) -> Result<(TupleStream<'s>, PNode)> {
-        fn clone_bag<'s>(bag: &'s Bag) -> TupleStream<'s> {
-            Box::new(bag.iter().map(|(t, m)| Ok((t.clone(), m))))
-        }
-        let (mut s, mut node) = match &fp.source {
-            FusedSource::Scan(name) => {
-                let bag = src.bag(name)?;
-                timed(format!("Scan {name}"), clone_bag(bag), Vec::new(), 0)
-            }
-            FusedSource::Literal(bag) => timed("Literal", clone_bag(bag), Vec::new(), 0),
-            FusedSource::Union(a, b) => {
-                let (sa, na) = stream_prof(a, src)?;
-                let (sb, nb) = stream_prof(b, src)?;
-                timed(
-                    "Union (⊎)",
-                    Box::new(sa.chain(sb)),
-                    vec![PChild::Live(na), PChild::Live(nb)],
-                    0,
-                )
-            }
-            FusedSource::Join {
-                left,
-                left_plan,
-                right,
-                right_plan,
-                left_keys,
-                right_keys,
-                residual,
-            } => {
-                // Same build-side selection as the unprofiled executor.
-                let build_left = src.join_cache().is_some()
-                    && reusable_build(left_plan, src)
-                    && !reusable_build(right_plan, src);
-                let (build_plan, build_keys, probe_fp, probe_keys) = if build_left {
-                    (*left_plan, *left_keys, &**right, *right_keys)
-                } else {
-                    (*right_plan, *right_keys, &**left, *left_keys)
-                };
-                let (table, build_prof) = build_join_table_prof(build_plan, build_keys, src)?;
-                let (probe_s, probe_node) = stream_prof(probe_fp, src)?;
-                let extra = build_prof.nanos;
-                let label = if build_left {
-                    "HashJoin (build=left)"
-                } else {
-                    "HashJoin (build=right)"
-                };
-                timed(
-                    label,
-                    Box::new(JoinProbe {
-                        probe: probe_s,
-                        build: table,
-                        probe_keys,
-                        residual,
-                        build_left,
-                        scratch: Vec::with_capacity(probe_keys.len()),
-                        out: VecDeque::new(),
-                    }),
-                    vec![PChild::Done(build_prof), PChild::Live(probe_node)],
-                    extra,
-                )
-            }
-            FusedSource::Breaker(plan) => {
-                let (bag, bp) = eval_to_bag_prof(plan, src)?;
-                let extra = bp.nanos;
-                let stream: TupleStream<'s> = match bag {
-                    Cow::Borrowed(b) => clone_bag(b),
-                    Cow::Owned(b) => Box::new(b.into_iter().map(Ok)),
-                };
-                // The wrapper's cell times the drain of the materialized
-                // result into the pipeline; the eval itself is the child.
-                timed("Stream", stream, vec![PChild::Done(bp)], extra)
-            }
-        };
-        for op in fp.ops.iter() {
-            let label = match op {
-                FusedOp::Filter(_) => "Filter".to_string(),
-                FusedOp::Project(cols) => format!("Project [{}]", cols.len()),
-            };
-            let staged = apply_ops(s, std::slice::from_ref(op));
-            let (ns, nn) = timed(label, staged, vec![PChild::Live(node)], 0);
-            s = ns;
-            node = nn;
-        }
-        Ok((s, node))
-    }
-
-    /// Profiled twin of [`build_join_table`]: identical cache behavior
-    /// (same fingerprint, same epoch deps), plus a finished build node —
-    /// a cache hit becomes a leaf labeled `JoinBuild (cached)` whose time
-    /// is just the lookup.
-    fn build_join_table_prof(
-        build_plan: &Plan,
-        right_keys: &[usize],
-        src: &dyn BagSource,
-    ) -> Result<(Arc<JoinBuild>, OpProf)> {
-        let t0 = Instant::now();
-        let cache_ctx = src.join_cache().and_then(|cache| {
-            let mut deps: BuildDeps = Vec::new();
-            for table in build_plan.tables() {
-                match src.epoch_of(&table) {
-                    Some(epoch) => deps.push((table, epoch)),
-                    None => return None,
-                }
-            }
-            Some((build_plan.fingerprint128(right_keys), deps, cache))
-        });
-        if let Some((key, deps, cache)) = &cache_ctx {
-            if let Some(hit) = cache.lookup(*key, deps) {
-                let rows = hit.values().map(|v| v.len() as u64).sum();
-                let p = OpProf::leaf(
-                    "JoinBuild (cached)",
-                    rows,
-                    t0.elapsed().as_nanos() as u64,
-                );
-                return Ok((hit, p));
-            }
-        }
-
-        let (bag, child) = eval_to_bag_prof(build_plan, src)?;
-        let t1 = Instant::now();
-        let mut table = JoinBuild::default();
-        let mut scratch: Vec<Value> = Vec::with_capacity(right_keys.len());
-        let mut rows = 0u64;
-        for (t, m) in bag.iter() {
-            if !normalize_key_into(t, right_keys, &mut scratch) {
-                continue;
-            }
-            group_entry(&mut table, &scratch).push((t.clone(), m));
-            rows += 1;
-        }
-        let table = Arc::new(table);
-        if let Some((key, deps, cache)) = cache_ctx {
-            cache.insert(key, deps, Arc::clone(&table));
-        }
-        let own = t1.elapsed().as_nanos() as u64;
-        let p = eager("JoinBuild", own, rows, vec![child]);
-        Ok((table, p))
-    }
-}
-
 // ---- reference evaluator --------------------------------------------------
 
 /// Evaluate with the materializing reference evaluator: strictly bottom-up,
-/// one owned/borrowed bag per operator. Retained as the oracle the
-/// streaming executor is differentially tested against, and as the
-/// benchmark baseline.
+/// one owned/borrowed bag per operator. A test oracle — the independent
+/// implementation [`eval`] is differentially tested against — and never
+/// called by the engine.
 pub fn eval_reference(plan: &Plan, src: &dyn BagSource) -> Result<Bag> {
     Ok(eval_cow(plan, src)?.into_owned())
 }
@@ -1150,7 +915,7 @@ mod tests {
         let q = compile(e, c).unwrap();
         // Both executors must agree on every query these tests run.
         let pinned = PinnedState::pin_for(c, &q.plan).unwrap();
-        let streamed = eval_streaming(&q.plan, &pinned).unwrap();
+        let streamed = eval(&q.plan, &pinned).unwrap();
         let reference = eval_reference(&q.plan, &pinned).unwrap();
         assert_eq!(streamed, reference, "executor divergence on {e}");
         streamed
@@ -1285,7 +1050,7 @@ mod tests {
         );
         let pinned = PinnedState::pin_for(&c, &q.plan).unwrap();
         for result in [
-            eval_streaming(&q.plan, &pinned),
+            eval(&q.plan, &pinned),
             eval_reference(&q.plan, &pinned),
         ] {
             let err = result.unwrap_err();
@@ -1356,7 +1121,7 @@ mod tests {
             right_keys: vec![0],
             residual: PhysPredicate::Const(true),
         };
-        let streamed = eval_streaming(&plan, &m).unwrap();
+        let streamed = eval(&plan, &m).unwrap();
         let reference = eval_reference(&plan, &m).unwrap();
         assert_eq!(streamed, reference);
         assert_eq!(streamed.len(), 1, "only the 7=7 pair joins: {streamed}");
@@ -1380,7 +1145,7 @@ mod tests {
             right_keys: vec![0],
             residual: PhysPredicate::Const(true),
         };
-        let streamed = eval_streaming(&plan, &m).unwrap();
+        let streamed = eval(&plan, &m).unwrap();
         let reference = eval_reference(&plan, &m).unwrap();
         assert_eq!(streamed, reference);
         assert_eq!(streamed.len(), 1, "Int(2) must hash-join Double(2.0)");
@@ -1470,7 +1235,7 @@ mod tests {
             log.replace(fresh).unwrap();
 
             let pinned = PinnedState::pin_for(&c, &q.plan).unwrap();
-            let streamed = eval_streaming(&q.plan, &pinned).unwrap();
+            let streamed = eval(&q.plan, &pinned).unwrap();
             assert_eq!(streamed, eval_reference(&q.plan, &pinned).unwrap());
             assert!(!streamed.is_empty(), "round {round} joined something");
         }
@@ -1479,85 +1244,122 @@ mod tests {
         assert_eq!(stats.hits, baseline.hits + 2, "then reused every round");
     }
 
-    /// Search an annotated tree for a label prefix.
-    fn tree_contains(p: &dvm_obs::OpProf, prefix: &str) -> bool {
-        p.label.starts_with(prefix) || p.children.iter().any(|c| tree_contains(c, prefix))
+    /// A catalog-free source with a join-build cache: `t0` plays a
+    /// churning internal table (no epoch, never "base"), every other table
+    /// a stable base table — so random joins exercise cached builds,
+    /// uncacheable builds and the flipped (build=left) probe.
+    struct CachedState<'a> {
+        state: &'a HashMap<String, Bag>,
+        cache: JoinBuildCache,
     }
 
-    /// The profiled executor must be a *twin*: identical bags on every
-    /// shape (streamed chains, joins, breakers, aggregates), plus a
-    /// well-formed tree whose exclusive times telescope to the root.
-    #[test]
-    fn profiled_executor_matches_streaming_and_reference() {
-        let c = catalog();
-        let exprs: Vec<Expr> = vec![
-            Expr::table("r").select(Predicate::eq(col("a"), lit(1i64))),
-            Expr::table("r")
-                .alias("r")
-                .product(Expr::table("s").alias("s"))
-                .select(Predicate::eq(col("r.b"), col("s.b")))
-                .project(["a", "c"]),
-            Expr::table("r").union(Expr::table("s").project(["b", "c"])),
-            Expr::table("r").monus(Expr::table("r").select(Predicate::eq(col("a"), lit(2i64)))),
-            Expr::table("r").dedup().project(["a"]),
-            Expr::table("r").union(Expr::table("r")).min_intersect(Expr::table("r")),
-        ];
-        for e in &exprs {
-            let q = compile(e, &c).unwrap();
-            let pinned = PinnedState::pin_for(&c, &q.plan).unwrap();
-            let reference = eval_reference(&q.plan, &pinned).unwrap();
-
-            dvm_obs::set_profiling(true);
-            let _ = dvm_obs::profile::take_captured(); // clear stale captures
-            let profiled = eval_streaming(&q.plan, &pinned).unwrap();
-            let captured = dvm_obs::profile::take_captured();
-            dvm_obs::set_profiling(false);
-            let plain = eval_streaming(&q.plan, &pinned).unwrap();
-
-            assert_eq!(profiled, reference, "profiled vs reference on {e}");
-            assert_eq!(profiled, plain, "profiled vs plain streaming on {e}");
-            assert_eq!(captured.evals.len(), 1, "one tree per evaluation on {e}");
-            let tree = &captured.evals[0];
-            assert_eq!(
-                tree.total_exclusive_nanos(),
-                tree.nanos,
-                "exclusive times telescope to the root on {e}: {}",
-                tree.render()
-            );
-            if !profiled.is_empty() {
-                assert!(tree.rows_out > 0, "non-empty result, zero rows_out on {e}");
-            }
+    impl BagSource for CachedState<'_> {
+        fn bag(&self, table: &str) -> Result<&Bag> {
+            self.state.bag(table)
+        }
+        fn epoch_of(&self, table: &str) -> Option<u64> {
+            self.is_base(table).then_some(0)
+        }
+        fn join_cache(&self) -> Option<&JoinBuildCache> {
+            Some(&self.cache)
+        }
+        fn is_base(&self, table: &str) -> bool {
+            table != "t0"
         }
     }
 
+    /// Search an annotated tree for an exact label.
+    fn tree_contains(p: &OpProf, label: &str) -> bool {
+        p.label == label || p.children.iter().any(|c| tree_contains(c, label))
+    }
+
+    /// Probe on ≡ probe off, as a property: over random plans (NULL join
+    /// keys, Int/Double keys, aggregates, EXCEPT, every breaker) the probed
+    /// run returns the bag the unprobed run and the reference oracle do,
+    /// plus a well-formed tree — exclusive times telescope to the root,
+    /// the root accounts for every result tuple, and a second run over a
+    /// warmed cache reports its builds as `JoinBuild (cached)`.
     #[test]
-    fn profiled_join_reports_cached_build_on_second_run() {
-        let c = catalog();
-        let e = Expr::table("r")
-            .alias("r")
-            .product(Expr::table("s").alias("s"))
-            .select(Predicate::eq(col("r.b"), col("s.b")));
-        let q = compile(&e, &c).unwrap();
-        assert!(matches!(q.plan, Plan::HashJoin { .. }));
+    fn probe_on_matches_probe_off_on_random_plans() {
+        use crate::testgen::{Rng, Universe};
+        let u = Universe::mixed(3);
+        let provider = u.provider();
+        let cached_cases = std::sync::atomic::AtomicUsize::new(0);
+        dvm_testkit::Prop::new("probe_on_matches_probe_off_on_random_plans")
+            .cases(400)
+            .run(|rng| {
+                let state = u.state(rng, 5);
+                // `Universe::expr` rarely draws an equality between the two
+                // sides of its join shape, so a third of the cases force one
+                // (over NULL-bearing Int/Double key columns).
+                let e = match rng.below(3) {
+                    0 => u.agg_expr(rng, 2),
+                    1 => u.expr(rng, 3),
+                    _ => {
+                        let key = |rng: &mut Rng, side: &str| {
+                            let column = if rng.chance(1, 2) { "a" } else { "b" };
+                            col(&format!("{side}.{column}"))
+                        };
+                        let on = Predicate::eq(key(rng, "l"), key(rng, "r"));
+                        (u.expr(rng, 2).alias("l"))
+                            .product(u.expr(rng, 2).alias("r"))
+                            .select(on.and(u.predicate(rng, &["l", "r"])))
+                            .project(["l.a", "r.b"])
+                    }
+                };
+                let plan = compile(&e, &provider).expect("typecheck").plan;
+                let src = CachedState {
+                    state: &state,
+                    cache: JoinBuildCache::new(),
+                };
 
-        dvm_obs::set_profiling(true);
-        let _ = dvm_obs::profile::take_captured();
-        let first = eval_in_catalog(&q, &c).unwrap();
-        let cold = dvm_obs::profile::take_captured();
-        let second = eval_in_catalog(&q, &c).unwrap();
-        let warm = dvm_obs::profile::take_captured();
-        dvm_obs::set_profiling(false);
+                let (cold, cold_tree) = eval_probed(&plan, &src).expect("probed eval");
+                let built = src.cache.stats().misses;
+                let (warm, warm_tree) = eval_probed(&plan, &src).expect("probed eval");
+                let plain = eval_to_bag(&plan, &src, None).expect("unprobed eval");
+                let reference = eval_reference(&plan, &state).expect("reference eval");
+                assert_eq!(cold, reference, "probed vs reference on {e}");
+                assert_eq!(warm, reference, "probed (warm cache) vs reference on {e}");
+                assert_eq!(*plain, reference, "unprobed vs reference on {e}");
 
-        assert_eq!(first, second);
+                for tree in [&cold_tree, &warm_tree] {
+                    assert_eq!(
+                        tree.total_exclusive_nanos(),
+                        tree.nanos,
+                        "exclusive times telescope to the root on {e}: {}",
+                        tree.render()
+                    );
+                    // A materialized root reports its bag; a streamed root
+                    // counts the pairs it yielded, which the result bag
+                    // may merge (projection, union) but never loses.
+                    let distinct = cold.distinct_len() as u64;
+                    match plan {
+                        Plan::Filter(..)
+                        | Plan::Project(..)
+                        | Plan::Union(..)
+                        | Plan::HashJoin { .. } => {
+                            assert!(tree.rows_out >= distinct, "{e}: {}", tree.render())
+                        }
+                        _ => assert_eq!(tree.rows_out, distinct, "{e}: {}", tree.render()),
+                    }
+                }
+                if built > 0 {
+                    cached_cases.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    assert!(
+                        tree_contains(&cold_tree, "JoinBuild"),
+                        "{e}: {}",
+                        cold_tree.render()
+                    );
+                    assert!(
+                        tree_contains(&warm_tree, "JoinBuild (cached)"),
+                        "{e}: {}",
+                        warm_tree.render()
+                    );
+                }
+            });
         assert!(
-            tree_contains(&cold.evals[0], "JoinBuild"),
-            "{}",
-            cold.evals[0].render()
-        );
-        assert!(
-            tree_contains(&warm.evals[0], "JoinBuild (cached)"),
-            "{}",
-            warm.evals[0].render()
+            cached_cases.load(std::sync::atomic::Ordering::Relaxed) > 20,
+            "the generator must keep producing cacheable join builds ({cached_cases:?})"
         );
     }
 
@@ -1569,15 +1371,5 @@ mod tests {
         let q = compile(&Expr::table("r").project(["a"]), &c).unwrap();
         eval_in_catalog(&q, &c).unwrap();
         assert!(dvm_obs::profile::take_captured().is_empty());
-    }
-
-    #[test]
-    fn eval_mode_dispatch_roundtrip() {
-        // Serial flip-and-restore; other tests never depend on Reference.
-        assert_eq!(eval_mode(), EvalMode::Streaming);
-        set_eval_mode(EvalMode::Reference);
-        assert_eq!(eval_mode(), EvalMode::Reference);
-        set_eval_mode(EvalMode::Streaming);
-        assert_eq!(eval_mode(), EvalMode::Streaming);
     }
 }

@@ -35,10 +35,7 @@ pub mod testgen;
 
 pub use aggregate::{group_aggregate_bag, group_entry, AggCall, AggFunc, GroupAggregateState};
 pub use error::{AlgebraError, Result};
-pub use eval::{
-    eval, eval_in_catalog, eval_mode, eval_reference, eval_streaming, set_eval_mode, BagSource,
-    EvalMode, PinnedState,
-};
+pub use eval::{eval, eval_in_catalog, eval_reference, BagSource, PinnedState};
 pub use explain::{explain_plan, explain_query};
 pub use expr::Expr;
 pub use infer::{compile, compile_unoptimized, infer_schema, CompiledQuery, SchemaProvider};

@@ -1,7 +1,7 @@
 //! Differential testing of the fused streaming executor against the
 //! materializing reference evaluator.
 //!
-//! The streaming executor (`eval_streaming`) is the production hot path;
+//! The streaming executor (`eval`) is the production hot path;
 //! the reference evaluator (`eval_reference`) is the strict bottom-up
 //! oracle it must agree with — bag-exactly, multiplicities included — on
 //! every plan the optimizer can emit. Random plans come from
@@ -11,7 +11,7 @@
 
 use dvm_algebra::infer::{compile, compile_unoptimized};
 use dvm_algebra::testgen::Universe;
-use dvm_algebra::{eval_reference, eval_streaming};
+use dvm_algebra::{eval, eval_reference};
 use dvm_testkit::Prop;
 
 /// Streaming ≡ reference on optimizer output over plain integer states.
@@ -25,7 +25,7 @@ fn streaming_matches_reference_on_random_plans() {
             let state = u.state(rng, 5);
             let e = u.expr(rng, 3);
             let plan = compile(&e, &provider).expect("typecheck").plan;
-            let streamed = eval_streaming(&plan, &state).expect("streaming eval");
+            let streamed = eval(&plan, &state).expect("streaming eval");
             let reference = eval_reference(&plan, &state).expect("reference eval");
             assert_eq!(streamed, reference, "executors diverged on {e}");
         });
@@ -44,7 +44,7 @@ fn streaming_matches_reference_with_null_and_double_keys() {
             let state = u.state(rng, 5);
             let e = u.expr(rng, 3);
             let plan = compile(&e, &provider).expect("typecheck").plan;
-            let streamed = eval_streaming(&plan, &state).expect("streaming eval");
+            let streamed = eval(&plan, &state).expect("streaming eval");
             let reference = eval_reference(&plan, &state).expect("reference eval");
             assert_eq!(streamed, reference, "executors diverged on {e}");
         });
@@ -69,7 +69,7 @@ fn streaming_matches_reference_on_aggregate_plans() {
             let e = u.agg_expr(rng, 2);
             let optimized = compile(&e, &provider).expect("typecheck").plan;
             let naive = compile_unoptimized(&e, &provider).expect("typecheck").plan;
-            let streamed = eval_streaming(&optimized, &state).expect("streaming eval");
+            let streamed = eval(&optimized, &state).expect("streaming eval");
             let reference = eval_reference(&naive, &state).expect("reference eval");
             assert_eq!(streamed, reference, "executors diverged on {e}");
         });
@@ -99,8 +99,8 @@ fn except_expansion_matches_direct_operator_on_null_rows() {
 
             let direct_plan = compile(&direct, &provider).expect("typecheck").plan;
             let expanded_plan = compile(&expanded, &provider).expect("typecheck").plan;
-            let direct_streamed = eval_streaming(&direct_plan, &state).expect("eval");
-            let expanded_streamed = eval_streaming(&expanded_plan, &state).expect("eval");
+            let direct_streamed = eval(&direct_plan, &state).expect("eval");
+            let expanded_streamed = eval(&expanded_plan, &state).expect("eval");
             let direct_reference = eval_reference(&direct_plan, &state).expect("eval");
             let expanded_reference = eval_reference(&expanded_plan, &state).expect("eval");
             assert_eq!(
@@ -133,8 +133,8 @@ fn sharded_state_matches_flat_on_random_plans() {
             }
             let e = u.expr(rng, 3);
             let plan = compile(&e, &provider).expect("typecheck").plan;
-            let flat = eval_streaming(&plan, &flat_state).expect("eval");
-            let sharded = eval_streaming(&plan, &sharded_state).expect("eval");
+            let flat = eval(&plan, &flat_state).expect("eval");
+            let sharded = eval(&plan, &sharded_state).expect("eval");
             assert_eq!(flat, sharded, "streaming diverged on sharded state: {e}");
             let flat_ref = eval_reference(&plan, &flat_state).expect("eval");
             let sharded_ref = eval_reference(&plan, &sharded_state).expect("eval");
@@ -160,8 +160,8 @@ fn sharded_state_matches_flat_on_aggregate_plans() {
             }
             let e = u.agg_expr(rng, 2);
             let plan = compile(&e, &provider).expect("typecheck").plan;
-            let flat = eval_streaming(&plan, &flat_state).expect("eval");
-            let sharded = eval_streaming(&plan, &sharded_state).expect("eval");
+            let flat = eval(&plan, &flat_state).expect("eval");
+            let sharded = eval(&plan, &sharded_state).expect("eval");
             assert_eq!(flat, sharded, "streaming diverged on sharded state: {e}");
             let sharded_ref = eval_reference(&plan, &sharded_state).expect("eval");
             assert_eq!(flat, sharded_ref, "reference diverged on sharded state: {e}");
@@ -182,7 +182,7 @@ fn streaming_optimized_matches_reference_unoptimized() {
             let e = u.expr(rng, 3);
             let optimized = compile(&e, &provider).expect("typecheck").plan;
             let naive = compile_unoptimized(&e, &provider).expect("typecheck").plan;
-            let streamed = eval_streaming(&optimized, &state).expect("streaming eval");
+            let streamed = eval(&optimized, &state).expect("streaming eval");
             let reference = eval_reference(&naive, &state).expect("reference eval");
             assert_eq!(
                 streamed, reference,

@@ -1,19 +1,24 @@
-//! **Delta-plan compilation experiment**: steady-state propagate through
-//! the view's compiled delta program vs re-deriving the change queries
-//! symbolically on every call, written to `results/BENCH_compile.json`.
+//! **Delta-plan compilation experiment**: the front half of a
+//! steady-state propagate through the view's compiled delta program vs
+//! re-deriving the change queries symbolically on every call, written to
+//! `results/BENCH_compile.json`.
 //!
-//! Both paths share the evaluation back half (Lemma 3 fold, log clear);
-//! the difference under measurement is exactly the per-call symbolic work
+//! Both series evaluate the pending `▼(L,Q)/▲(L,Q)` against the same
+//! state and stop there — the Lemma 3 fold and log clear that follow are
+//! identical either way and are not timed. `compiled` is what `propagate`
+//! does (variant lookup, bind, evaluate: `dvm_bench::eval_pending_deltas`);
+//! `per_call` is [`per_call_deltas`], assembled here from the library's
+//! public derivation calls since the engine no longer carries that path.
+//! The difference under measurement is exactly the per-call symbolic work
 //! the compiler amortizes — `Del`/`Add` differentiation, simplification,
 //! and physical plan construction.
 //!
 //! Series:
 //!
-//! * `compile/small_delta/{compiled,per_call}` — propagate a 10-sale
-//!   backlog through the Example-1.1 join view. Small deltas are the
-//!   steady-state regime deferred maintenance lives in, and where the
-//!   symbolic front half dominates; `obs_guard` gates
-//!   `per_call ≥ 1.5× compiled` here.
+//! * `compile/small_delta/{compiled,per_call}` — a 10-sale backlog on the
+//!   Example-1.1 join view. Small deltas are the steady-state regime
+//!   deferred maintenance lives in, and where the symbolic front half
+//!   dominates; `obs_guard` gates `per_call ≥ 1.5× compiled` here.
 //! * `compile/delta1000/{compiled,per_call}` — a 1 000-sale backlog: the
 //!   evaluation dominates and the ratio shrinks toward 1, bounding what
 //!   compilation can and cannot buy.
@@ -21,16 +26,18 @@
 //!   SUM over sales), whose γ differentiation is the costliest to re-run
 //!   per call.
 //!
-//! Every round is differentially checked before timing: a compiled-path
-//! twin and a per-call twin run the same backlog and must agree with each
-//! other and with a from-scratch recompute. `--test` runs the checks and
-//! one quick sample per series without writing (the `scripts/ci.sh`
-//! smoke).
+//! Every round is differentially checked before timing: the compiled and
+//! per-call `▼/▲` must be bag-equal on the same backlog, and the view
+//! they maintain must match a from-scratch recompute. `--test` runs the
+//! checks and one quick sample per series without writing (the
+//! `scripts/ci.sh` smoke).
 
-use dvm_algebra::{AggCall, AggFunc, ColRef, Expr};
+use dvm_algebra::{compile, eval, AggCall, AggFunc, ColRef, Expr, PinnedState};
 use dvm_bench::report::{summary_table, write_json};
-use dvm_bench::retail_db;
+use dvm_bench::{eval_pending_deltas, retail_db};
 use dvm_core::{Database, Minimality, Scenario};
+use dvm_delta::post_update_deltas_pruned;
+use dvm_storage::Bag;
 use dvm_testkit::bench::{Bench, Summary};
 use dvm_workload::RetailGen;
 
@@ -73,30 +80,46 @@ fn make(seed: u64) -> (Database, RetailGen) {
     (db, gen)
 }
 
-/// Compiled and per-call propagation must be indistinguishable: same MV,
-/// same differential tables, same truth — checked across several rounds
-/// on twin databases fed identical batches.
+/// The pre-compilation propagate front half: re-derive, simplify and
+/// plan-compile `▼(L,Q)/▲(L,Q)` symbolically for the current log, then
+/// evaluate both against one pinned state.
+fn per_call_deltas(db: &Database, view: &str) -> (Bag, Bag) {
+    let catalog = db.catalog();
+    let view = db.view(view).unwrap();
+    let log = view.log().expect("combined views keep a log");
+    let deltas = post_update_deltas_pruned(view.definition(), log, catalog, &|t| {
+        catalog.get(t).is_some_and(|t| t.is_empty())
+    })
+    .unwrap();
+    let del = compile(&deltas.del, catalog).unwrap();
+    let ins = compile(&deltas.ins, catalog).unwrap();
+    let mut tables = del.plan.tables();
+    tables.extend(ins.plan.tables());
+    let pinned = PinnedState::pin(catalog, &tables).unwrap();
+    (
+        eval(&del.plan, &pinned).unwrap(),
+        eval(&ins.plan, &pinned).unwrap(),
+    )
+}
+
+/// Compiled and per-call derivation must be indistinguishable: the same
+/// `▼/▲` bags on every backlog, and a maintained view equal to the truth —
+/// checked across several rounds on both views.
 fn differential_check() {
-    let (compiled, mut gen_a) = make(7);
-    let (per_call, mut gen_b) = make(7);
+    let (db, mut gen) = make(7);
     for round in 0..4 {
-        let batch_a = gen_a.sales_batch(25);
-        let batch_b = gen_b.sales_batch(25);
-        compiled.execute(&batch_a).unwrap();
-        per_call.execute(&batch_b).unwrap();
+        db.execute(&gen.sales_batch(25)).unwrap();
         for v in ["V", "VA"] {
-            compiled.propagate(v).unwrap();
-            per_call.propagate_uncompiled(v).unwrap();
-        }
-        for v in ["V", "VA"] {
-            compiled.partial_refresh(v).unwrap();
-            per_call.partial_refresh(v).unwrap();
-            let a = compiled.query_view(v).unwrap();
-            let b = per_call.query_view(v).unwrap();
-            assert_eq!(a, b, "round {round}: {v} diverged compiled vs per-call");
             assert_eq!(
-                a,
-                compiled.recompute_view(v).unwrap(),
+                eval_pending_deltas(&db, v, eval),
+                per_call_deltas(&db, v),
+                "round {round}: {v} ▼/▲ diverged compiled vs per-call"
+            );
+            db.propagate(v).unwrap();
+            db.partial_refresh(v).unwrap();
+            assert_eq!(
+                db.query_view(v).unwrap(),
+                db.recompute_view(v).unwrap(),
                 "round {round}: {v} diverged from recomputed truth"
             );
         }
@@ -127,11 +150,12 @@ fn main() {
                 db
             },
             |db| {
-                if use_compiled {
-                    db.propagate(view).unwrap();
+                let deltas = if use_compiled {
+                    eval_pending_deltas(&db, view, eval)
                 } else {
-                    db.propagate_uncompiled(view).unwrap();
-                }
+                    per_call_deltas(&db, view)
+                };
+                (db, deltas)
             },
         ));
     }

@@ -8,9 +8,13 @@
 
 pub mod report;
 
+use dvm_algebra::eval::{BagSource, ParamSource};
+use dvm_algebra::Plan;
 use dvm_core::{Database, Minimality, Scenario};
 use dvm_durability::WalOptions;
+use dvm_storage::Bag;
 use dvm_workload::{view_expr, RetailConfig, RetailGen};
+use std::collections::HashMap;
 use std::path::Path;
 
 /// A retail database with the Example-1.1 view installed under `scenario`.
@@ -65,6 +69,38 @@ pub fn retail_db_durable(
         .expect("create view");
     db.checkpoint().expect("baseline checkpoint");
     (db, gen)
+}
+
+/// Evaluate a Combined view's pending `▼(L,Q)/▲(L,Q)` the way
+/// `propagate`'s front half does — the compiled variant for the current
+/// log activity, the active log bags bound as parameters over pinned base
+/// tables — with the evaluator of the caller's choice. The baseline
+/// series (`exp_eval`'s reference executor, `exp_compile`'s per-call
+/// derivation) are built on this in bench code, so the engine ships one
+/// propagate path; the Lemma-3 fold and log clear every variant shares
+/// are deliberately outside the measurement.
+pub fn eval_pending_deltas(
+    db: &Database,
+    view: &str,
+    eval: fn(&Plan, &dyn BagSource) -> dvm_algebra::Result<Bag>,
+) -> (Bag, Bag) {
+    let catalog = db.catalog();
+    let view = db.view(view).expect("view exists");
+    let program = view.delta_program(catalog).expect("combined view");
+    let mask = program.activity_mask(&|t| catalog.get(t).is_some_and(|t| t.is_empty()));
+    let (variant, _) = program.variant(mask, catalog).expect("variant compiles");
+    let params: HashMap<String, Bag> = program
+        .active_log_tables(mask)
+        .into_iter()
+        .map(|t| (t.to_string(), catalog.bag_of(t).expect("log table")))
+        .collect();
+    let mut tables = variant.del.plan.tables();
+    tables.extend(variant.ins.plan.tables());
+    let src = ParamSource::pin(catalog, &tables, &params).expect("pin base tables");
+    (
+        eval(&variant.del.plan, &src).expect("evaluate ▼"),
+        eval(&variant.ins.plan, &src).expect("evaluate ▲"),
+    )
 }
 
 #[cfg(test)]

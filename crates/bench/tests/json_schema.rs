@@ -318,8 +318,9 @@ fn check_concurrent_report(doc: &Value, ctx: &str) {
 
 /// `BENCH_profile.json` carries the standard `benchmarks` array (the
 /// off/on overhead pair) plus the full `ProfileReport` under `profile`:
-/// profiled maintenance operations with their attribution coverage, and
-/// the time series the policy driver sampled.
+/// profiled maintenance operations with their attribution coverage (and,
+/// for propagates, the compiled-plan phase vocabulary), and the time
+/// series the policy driver sampled.
 fn check_profile_report(doc: &Value, ctx: &str) {
     const REQUIRED_BENCHES: &[&str] = &["profile/propagate/off", "profile/propagate/on"];
     let benches = require(doc, "benchmarks", ctx).as_arr().unwrap();
@@ -364,12 +365,30 @@ fn check_profile_report(doc: &Value, ctx: &str) {
         let evals = require(op, "evals", &octx)
             .as_arr()
             .unwrap_or_else(|| panic!("{octx}: `evals` is not an array"));
+        let mut labels = Vec::new();
         for e in evals {
-            require(e, "label", &octx)
-                .as_str()
-                .unwrap_or_else(|| panic!("{octx}: eval `label` not a string"));
+            labels.push(
+                require(e, "label", &octx)
+                    .as_str()
+                    .unwrap_or_else(|| panic!("{octx}: eval `label` not a string")),
+            );
             require_num(e, "nanos", &octx);
             require_num(e, "self_nanos", &octx);
+        }
+        // A propagate executes the view's compiled delta program: it binds
+        // the log and evaluates. An artifact showing per-call derivation
+        // phases predates compiled plans (PR 10) and is stale.
+        if kind == "propagate" && !labels.is_empty() {
+            for stale in ["DeriveDeltas", "CompilePin"] {
+                assert!(
+                    !labels.iter().any(|l| l.starts_with(stale)),
+                    "{octx}: `{stale}` phase in a propagate — re-record with exp_profile"
+                );
+            }
+            assert!(
+                labels.contains(&"BindParams"),
+                "{octx}: a propagate with work to do must record `BindParams`"
+            );
         }
         require(op, "shards", &octx)
             .as_arr()

@@ -206,30 +206,6 @@ impl Database {
         dvm_obs::profiling_on()
     }
 
-    /// Store one profiled operation, shedding the oldest past the ring cap.
-    fn store_profile(&self, p: MaintProfile) {
-        let mut ring = self.profiles.lock();
-        if ring.len() >= Self::MAX_PROFILES {
-            ring.remove(0);
-        }
-        ring.push(p);
-    }
-
-    /// Claim what the current thread's evaluations deposited since the
-    /// last drain and store it as one operation profile. The drain *before*
-    /// an operation (discarding stale captures from ad-hoc queries on this
-    /// thread) is the caller's `take_captured()` at the top of the op.
-    fn finish_profile(&self, view: &str, op: &'static str, total_nanos: u64) {
-        let cap = obs_profile::take_captured();
-        self.store_profile(MaintProfile {
-            view: view.to_string(),
-            op,
-            total_nanos,
-            evals: cap.evals,
-            shards: cap.shards,
-        });
-    }
-
     /// Append one sample to the named time series, creating it on first use.
     fn ts_push(&self, name: &str, value: f64) {
         let t = self.now_nanos();
@@ -922,157 +898,130 @@ impl Database {
         Ok(claims)
     }
 
-    /// `refresh_*`: bring the view fully up to date
-    /// (`{INV_*} refresh_* {Q ≡ MV}`).
-    pub fn refresh(&self, name: &str) -> Result<()> {
+    /// The bracket every Figure-3 maintenance operation runs in: resolve the
+    /// view, reject a scenario the operation is not defined for, open the
+    /// trace span, take the maintenance mutex (and shared base claims when
+    /// the body reads base state), time the body, then record metrics, the
+    /// latency series, the profile capture and the WAL redo record — in
+    /// that order, under the locks that serialized the operation. `op` is
+    /// the span kind; its label names the operation everywhere else.
+    fn maintain(
+        &self,
+        name: &str,
+        op: EventKind,
+        needs_base_claims: bool,
+        body: impl FnOnce(&View) -> Result<()>,
+    ) -> Result<()> {
         let view = self.view(name)?;
-        let _span = self.tracer.span(EventKind::Refresh, name);
+        // Only a full refresh is defined for every scenario.
+        if op != EventKind::Refresh && view.scenario() != Scenario::Combined {
+            return Err(CoreError::WrongScenario {
+                view: name.to_string(),
+                op: op.label(),
+            });
+        }
+        let _span = self.tracer.span(op, name);
         let _maint = view.maintenance_lock();
-        let _claims = self.lock_view_bases(&view)?;
+        let _claims = if needs_base_claims {
+            self.lock_view_bases(&view)?
+        } else {
+            Vec::new()
+        };
         let profiled = dvm_obs::profiling_on();
         if profiled {
             // Discard captures ad-hoc queries left on this thread.
             let _ = obs_profile::take_captured();
         }
         let start = Instant::now();
-        match view.scenario() {
-            Scenario::Immediate => {} // always consistent
-            Scenario::BaseLog => base_log::refresh(&self.catalog, &view)?,
-            Scenario::DiffTable => {
-                diff_table::apply_diff_tables_with(&self.catalog, &view, self.intra_view_par())?
-            }
-            Scenario::Combined => {
-                self.drain_shared(&view)?;
-                combined::refresh_with(&self.catalog, &view, self.intra_view_par())?;
-            }
-        }
+        body(&view)?;
         let nanos = start.elapsed().as_nanos() as u64;
-        view.metrics().record_refresh(nanos);
-        view.metrics().mark_refreshed(self.now_nanos());
-        self.ts_push(&format!("refresh_ns/{name}"), nanos as f64);
+        let redo = if op == EventKind::Propagate {
+            view.metrics().record_propagate(nanos);
+            self.ts_push(&format!("propagate_ns/{name}"), nanos as f64);
+            DurableOp::Propagate(name.to_string())
+        } else {
+            view.metrics().record_refresh(nanos);
+            view.metrics().mark_refreshed(self.now_nanos());
+            self.ts_push(&format!("refresh_ns/{name}"), nanos as f64);
+            if op == EventKind::Refresh {
+                DurableOp::Refresh(name.to_string())
+            } else {
+                DurableOp::PartialRefresh(name.to_string())
+            }
+        };
         if profiled {
-            self.finish_profile(name, "refresh", nanos);
+            // Claim what this thread's evaluations deposited since the
+            // drain above as one operation profile; the ring sheds its
+            // oldest entry past the cap.
+            let cap = obs_profile::take_captured();
+            let mut ring = self.profiles.lock();
+            if ring.len() >= Self::MAX_PROFILES {
+                ring.remove(0);
+            }
+            ring.push(MaintProfile {
+                view: name.to_string(),
+                op: op.label(),
+                total_nanos: nanos,
+                evals: cap.evals,
+                shards: cap.shards,
+            });
         }
-        self.log_op(&DurableOp::Refresh(name.to_string()))?;
-        Ok(())
+        self.log_op(&redo)
+    }
+
+    /// `refresh_*`: bring the view fully up to date
+    /// (`{INV_*} refresh_* {Q ≡ MV}`).
+    pub fn refresh(&self, name: &str) -> Result<()> {
+        self.maintain(name, EventKind::Refresh, true, |view| {
+            match view.scenario() {
+                Scenario::Immediate => Ok(()), // always consistent
+                Scenario::BaseLog => base_log::refresh(&self.catalog, view),
+                Scenario::DiffTable => {
+                    diff_table::apply_diff_tables(&self.catalog, view, self.intra_view_par())
+                }
+                Scenario::Combined => {
+                    self.drain_shared(view)?;
+                    combined::refresh(&self.catalog, view, self.intra_view_par())
+                }
+            }
+        })
     }
 
     /// `propagate_C`: fold logged changes into the differential tables
     /// without touching the `MV` lock. Only for [`Scenario::Combined`].
     pub fn propagate(&self, name: &str) -> Result<()> {
-        let view = self.view(name)?;
-        if view.scenario() != Scenario::Combined {
-            return Err(CoreError::WrongScenario {
-                view: name.to_string(),
-                op: "propagate",
-            });
-        }
-        let _span = self.tracer.span(EventKind::Propagate, name);
-        let _maint = view.maintenance_lock();
-        let _claims = self.lock_view_bases(&view)?;
-        let profiled = dvm_obs::profiling_on();
-        if profiled {
-            // Discard captures ad-hoc queries left on this thread.
-            let _ = obs_profile::take_captured();
-        }
-        let start = Instant::now();
-        self.drain_shared(&view)?;
-        combined::propagate_with(&self.catalog, &view, self.intra_view_par())?;
-        let nanos = start.elapsed().as_nanos() as u64;
-        view.metrics().record_propagate(nanos);
-        self.ts_push(&format!("propagate_ns/{name}"), nanos as f64);
-        if profiled {
-            self.finish_profile(name, "propagate", nanos);
-        }
-        self.log_op(&DurableOp::Propagate(name.to_string()))?;
-        Ok(())
-    }
-
-    /// [`propagate`](Self::propagate), but re-deriving and re-compiling the
-    /// incremental queries symbolically on every call instead of executing
-    /// the view's cached delta program. Semantically identical; kept as the
-    /// baseline the `exp_compile` benchmark and the compiled≡fresh
-    /// differential tests compare against.
-    pub fn propagate_uncompiled(&self, name: &str) -> Result<()> {
-        let view = self.view(name)?;
-        if view.scenario() != Scenario::Combined {
-            return Err(CoreError::WrongScenario {
-                view: name.to_string(),
-                op: "propagate",
-            });
-        }
-        let _span = self.tracer.span(EventKind::Propagate, name);
-        let _maint = view.maintenance_lock();
-        let _claims = self.lock_view_bases(&view)?;
-        let profiled = dvm_obs::profiling_on();
-        if profiled {
-            // Discard captures ad-hoc queries left on this thread.
-            let _ = obs_profile::take_captured();
-        }
-        let start = Instant::now();
-        self.drain_shared(&view)?;
-        combined::propagate_derive_per_call(&self.catalog, &view, self.intra_view_par())?;
-        let nanos = start.elapsed().as_nanos() as u64;
-        view.metrics().record_propagate(nanos);
-        self.ts_push(&format!("propagate_ns/{name}"), nanos as f64);
-        if profiled {
-            self.finish_profile(name, "propagate", nanos);
-        }
-        self.log_op(&DurableOp::Propagate(name.to_string()))?;
-        Ok(())
+        self.maintain(name, EventKind::Propagate, true, |view| {
+            self.drain_shared(view)?;
+            combined::propagate(&self.catalog, view, self.intra_view_par())
+        })
     }
 
     /// `partial_refresh_C`: apply the differential tables, bringing `MV` to
     /// `PAST(L,Q)` (at most one propagation interval stale). Only for
     /// [`Scenario::Combined`].
     pub fn partial_refresh(&self, name: &str) -> Result<()> {
-        let view = self.view(name)?;
-        if view.scenario() != Scenario::Combined {
-            return Err(CoreError::WrongScenario {
-                view: name.to_string(),
-                op: "partial_refresh",
-            });
-        }
         // Touches only the view's own MV and differential tables, so the
         // maintenance mutex suffices — no base-table claims needed.
-        let _span = self.tracer.span(EventKind::PartialRefresh, name);
-        let _maint = view.maintenance_lock();
-        let profiled = dvm_obs::profiling_on();
-        if profiled {
-            // Discard captures ad-hoc queries left on this thread.
-            let _ = obs_profile::take_captured();
-        }
-        let start = Instant::now();
-        combined::partial_refresh_with(&self.catalog, &view, self.intra_view_par())?;
-        let nanos = start.elapsed().as_nanos() as u64;
-        view.metrics().record_refresh(nanos);
-        view.metrics().mark_refreshed(self.now_nanos());
-        self.ts_push(&format!("refresh_ns/{name}"), nanos as f64);
-        if profiled {
-            self.finish_profile(name, "partial_refresh", nanos);
-        }
-        self.log_op(&DurableOp::PartialRefresh(name.to_string()))?;
-        Ok(())
+        self.maintain(name, EventKind::PartialRefresh, false, |view| {
+            combined::partial_refresh(&self.catalog, view, self.intra_view_par())
+        })
     }
 
     /// Run an operation for each named view, fanning independent views
     /// across the persistent worker pool (per-view serialization and
     /// writer conflicts are handled by the maintenance mutex and commit
     /// claims the ops themselves take). Views are claimed dynamically, so
-    /// one large view does not serialize the rest of its stride. Returns
-    /// the first error in input order, after every worker has finished.
+    /// one large view does not serialize the rest of its stride. Every
+    /// view runs whatever the worker count — a failing view never leaves
+    /// the ones after it unmaintained on a narrow host only — and the
+    /// result is the first error in input order.
     fn for_each_view_parallel(
         &self,
         names: &[String],
         op: impl Fn(&str) -> Result<()> + Sync,
     ) -> Result<()> {
+        // A width of 1 (or a single view) runs inline on this thread.
         let n = self.maintenance_workers(names.len());
-        if n <= 1 || names.len() <= 1 {
-            for name in names {
-                op(name)?;
-            }
-            return Ok(());
-        }
         self.pool
             .run(names.len(), n, |i| op(&names[i]))
             .into_iter()
@@ -1936,6 +1885,37 @@ mod tests {
             db.partial_refresh("v"),
             Err(CoreError::WrongScenario { .. })
         ));
+    }
+
+    /// `propagate_many` must not behave differently by core count: a
+    /// failing view stops neither the serial nor the pooled fan-out, and
+    /// both report the first error in input order.
+    #[test]
+    fn propagate_many_runs_every_view_at_any_width() {
+        for threads in [1, 2] {
+            let db = db_with_r();
+            db.set_maintenance_threads(threads);
+            db.create_view("im", Expr::table("r"), Scenario::Immediate)
+                .unwrap();
+            db.create_view("c", Expr::table("r"), Scenario::Combined)
+                .unwrap();
+            db.execute(&Transaction::new().insert_tuple("r", tuple![7]))
+                .unwrap();
+            assert!(db.aux_sizes("c").unwrap().0 > 0, "the log holds the insert");
+
+            let err = db
+                .propagate_many(&["im".to_string(), "c".to_string()])
+                .unwrap_err();
+            assert!(
+                matches!(&err, CoreError::WrongScenario { view, op: "propagate" } if view == "im"),
+                "{threads} thread(s): {err:?}"
+            );
+            assert_eq!(
+                db.aux_sizes("c").unwrap().0,
+                0,
+                "{threads} thread(s): the view after the failing one still propagated"
+            );
+        }
     }
 
     #[test]

@@ -14,12 +14,10 @@
 //! ```
 
 use crate::error::{CoreError, Result};
-use crate::scenario::{
-    base_log, diff_table, eval_pair, eval_variant_bound, phase_end, phase_start,
-};
+use crate::scenario::{base_log, diff_table, eval_variant_bound, phase_end, phase_start};
 use crate::view::{Minimality, View};
-use dvm_delta::{compose_into, post_update_deltas_pruned, strongify_bags, Transaction};
-use dvm_storage::{compose_delta_parallel, Bag, Catalog};
+use dvm_delta::{compose_into, strongify_bags, Transaction};
+use dvm_storage::{compose_delta_parallel, Catalog};
 use dvm_testkit::WorkerPool;
 
 /// `makesafe_C[T]` — identical to `makesafe_BL[T]`: extend the log.
@@ -31,28 +29,19 @@ pub fn extend_log(catalog: &Catalog, view: &View, tx: &Transaction) -> Result<()
 /// `▲(L,Q)` in the current state, fold them into `∇MV/ΔMV` (composition
 /// lemma), and empty the log. Never takes the `MV` write lock — readers of
 /// the view are unaffected.
-pub fn propagate(catalog: &Catalog, view: &View) -> Result<()> {
-    propagate_with(catalog, view, None)
-}
-
-/// [`propagate`] with an optional worker pool for intra-view parallelism:
-/// when the differential tables are hash-sharded and large, the Lemma 3
-/// fold runs per shard across `width` workers (including the caller). The
-/// fold is shard-local because `∸`/`⊎` match whole tuples and both sides
-/// route tuples with the same hash — see `compose_delta_parallel`.
-pub fn propagate_with(
-    catalog: &Catalog,
-    view: &View,
-    par: Option<(&WorkerPool, usize)>,
-) -> Result<()> {
-    view.log().ok_or(CoreError::WrongScenario {
+///
+/// `par` is an optional worker pool for intra-view parallelism: when the
+/// differential tables are hash-sharded and large, the Lemma 3 fold runs
+/// per shard across `width` workers (including the caller). The fold is
+/// shard-local because `∸`/`⊎` match whole tuples and both sides route
+/// tuples with the same hash — see `compose_delta_parallel`.
+pub fn propagate(catalog: &Catalog, view: &View, par: Option<(&WorkerPool, usize)>) -> Result<()> {
+    let wrong_scenario = || CoreError::WrongScenario {
         view: view.name().to_string(),
         op: "propagate_C",
-    })?;
-    view.diff_tables().ok_or(CoreError::WrongScenario {
-        view: view.name().to_string(),
-        op: "propagate_C",
-    })?;
+    };
+    let log = view.log().ok_or_else(wrong_scenario)?;
+    let (dt_del_name, dt_ins_name) = view.diff_tables().ok_or_else(wrong_scenario)?;
     // Steady state: look up the precompiled ▼/▲ plans for the current log
     // activity and execute them with the log bags bound as parameters —
     // zero differentiation, zero simplification, zero plan construction.
@@ -78,49 +67,8 @@ pub fn propagate_with(
         eval_variant_bound(catalog, &variant, &program.active_log_tables(mask))?;
     program.record_bind();
 
-    fold_and_clear(catalog, view, del_bag, ins_bag, par)
-}
-
-/// [`propagate`] with the pre-compilation front half: re-derive, simplify
-/// and plan-compile `▼(L,Q)/▲(L,Q)` symbolically on every call. Kept as the
-/// baseline for the `exp_compile` benchmark and the compiled≡fresh
-/// differential suite — the back half (Lemma 3 fold, strongification,
-/// `L := φ`) is shared with the compiled path, so any divergence is in the
-/// delta evaluation itself.
-pub fn propagate_derive_per_call(
-    catalog: &Catalog,
-    view: &View,
-    par: Option<(&WorkerPool, usize)>,
-) -> Result<()> {
-    let log = view.log().ok_or(CoreError::WrongScenario {
-        view: view.name().to_string(),
-        op: "propagate_C",
-    })?;
-    view.diff_tables().ok_or(CoreError::WrongScenario {
-        view: view.name().to_string(),
-        op: "propagate_C",
-    })?;
-    let t = phase_start();
-    let deltas = post_update_deltas_pruned(view.definition(), log, catalog, &|t| {
-        catalog.get(t).map(|tbl| tbl.is_empty()).unwrap_or(false)
-    })?;
-    phase_end("DeriveDeltas(▼,▲)", 0, t);
-    let (del_bag, ins_bag) = eval_pair(catalog, &deltas.del, &deltas.ins)?;
-    fold_and_clear(catalog, view, del_bag, ins_bag, par)
-}
-
-/// The propagate back half shared by the compiled and per-call-derivation
-/// paths: fold `▼/▲` into the differential tables (Lemma 3), strongify if
-/// the view demands it, and truncate the log — all without the `MV` lock.
-fn fold_and_clear(
-    catalog: &Catalog,
-    view: &View,
-    del_bag: Bag,
-    ins_bag: Bag,
-    par: Option<(&WorkerPool, usize)>,
-) -> Result<()> {
-    let log = view.log().expect("caller checked scenario");
-    let (dt_del_name, dt_ins_name) = view.diff_tables().expect("caller checked scenario");
+    // Fold ▼/▲ into the differential tables (Lemma 3) and strongify if the
+    // view demands it — all without the `MV` lock.
     let dt_del = catalog.require(dt_del_name)?;
     let dt_ins = catalog.require(dt_ins_name)?;
     // The phase timer spans lock acquisition and, on the parallel path,
@@ -163,33 +111,21 @@ fn fold_and_clear(
 
 /// `partial_refresh_C` — apply the differential tables (= `refresh_DT`):
 /// brings `MV` to `PAST(L,Q)`, i.e. at most one propagation interval stale.
-pub fn partial_refresh(catalog: &Catalog, view: &View) -> Result<()> {
-    diff_table::apply_diff_tables(catalog, view)
-}
-
-/// [`partial_refresh`] with optional per-shard parallelism for the delta
-/// apply under the `MV` write lock (shorter downtime on large views).
-pub fn partial_refresh_with(
+/// `par` enables per-shard parallelism for the delta apply under the `MV`
+/// write lock (shorter downtime on large views).
+pub fn partial_refresh(
     catalog: &Catalog,
     view: &View,
     par: Option<(&WorkerPool, usize)>,
 ) -> Result<()> {
-    diff_table::apply_diff_tables_with(catalog, view, par)
+    diff_table::apply_diff_tables(catalog, view, par)
 }
 
-/// `refresh_C`: full consistency — propagate, then apply.
-pub fn refresh(catalog: &Catalog, view: &View) -> Result<()> {
-    refresh_with(catalog, view, None)
-}
-
-/// [`refresh`] with optional per-shard parallelism in both halves.
-pub fn refresh_with(
-    catalog: &Catalog,
-    view: &View,
-    par: Option<(&WorkerPool, usize)>,
-) -> Result<()> {
-    propagate_with(catalog, view, par)?;
-    partial_refresh_with(catalog, view, par)
+/// `refresh_C`: full consistency — propagate, then apply (`par` reaches
+/// both halves).
+pub fn refresh(catalog: &Catalog, view: &View, par: Option<(&WorkerPool, usize)>) -> Result<()> {
+    propagate(catalog, view, par)?;
+    partial_refresh(catalog, view, par)
 }
 
 #[cfg(test)]
@@ -240,15 +176,15 @@ mod tests {
         let (c, view) = setup(Minimality::Weak);
         // batch 1
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![2]));
-        propagate(&c, &view).unwrap();
+        propagate(&c, &view, None).unwrap();
         let value_at_s_i = recompute(&c, &view).unwrap(); // {1,2}
                                                           // batch 2, after propagation
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![3]));
         // partial refresh only applies what was propagated.
-        partial_refresh(&c, &view).unwrap();
+        partial_refresh(&c, &view, None).unwrap();
         assert_eq!(c.bag_of(view.mv_table()).unwrap(), value_at_s_i);
         // full refresh catches the rest.
-        refresh(&c, &view).unwrap();
+        refresh(&c, &view, None).unwrap();
         assert_eq!(
             c.bag_of(view.mv_table()).unwrap(),
             recompute(&c, &view).unwrap()
@@ -274,13 +210,13 @@ mod tests {
         check(&c);
         run_tx(&c, &view, &Transaction::new().delete_tuple("r", tuple![1]));
         check(&c);
-        propagate(&c, &view).unwrap();
+        propagate(&c, &view, None).unwrap();
         check(&c);
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![4]));
         check(&c);
-        partial_refresh(&c, &view).unwrap();
+        partial_refresh(&c, &view, None).unwrap();
         check(&c);
-        refresh(&c, &view).unwrap();
+        refresh(&c, &view, None).unwrap();
         check(&c);
         assert_eq!(
             c.bag_of(view.mv_table()).unwrap(),
@@ -294,7 +230,7 @@ mod tests {
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![2]));
         let mv = c.require(view.mv_table()).unwrap();
         let writes_before = mv.lock_metrics().snapshot().write_acquisitions;
-        propagate(&c, &view).unwrap();
+        propagate(&c, &view, None).unwrap();
         let writes_after = mv.lock_metrics().snapshot().write_acquisitions;
         assert_eq!(
             writes_before, writes_after,
@@ -306,14 +242,14 @@ mod tests {
     fn strong_minimality_shrinks_diff_tables() {
         let (c, view) = setup(Minimality::Strong);
         run_tx(&c, &view, &Transaction::new().delete_tuple("r", tuple![1]));
-        propagate(&c, &view).unwrap();
+        propagate(&c, &view, None).unwrap();
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![1]));
-        propagate(&c, &view).unwrap();
+        propagate(&c, &view, None).unwrap();
         let (dn, inm) = view.diff_tables().unwrap();
         assert!(c.bag_of(dn).unwrap().is_empty(), "churn cancelled");
         assert!(c.bag_of(inm).unwrap().is_empty());
         // and refresh still lands on the truth
-        refresh(&c, &view).unwrap();
+        refresh(&c, &view, None).unwrap();
         assert_eq!(
             c.bag_of(view.mv_table()).unwrap(),
             recompute(&c, &view).unwrap()
@@ -324,11 +260,11 @@ mod tests {
     fn repeated_propagate_is_idempotent_on_empty_log() {
         let (c, view) = setup(Minimality::Weak);
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![2]));
-        propagate(&c, &view).unwrap();
+        propagate(&c, &view, None).unwrap();
         let (dn, inm) = view.diff_tables().unwrap();
         let d1 = c.bag_of(dn).unwrap();
         let i1 = c.bag_of(inm).unwrap();
-        propagate(&c, &view).unwrap();
+        propagate(&c, &view, None).unwrap();
         assert_eq!(c.bag_of(dn).unwrap(), d1);
         assert_eq!(c.bag_of(inm).unwrap(), i1);
         assert_eq!(i1, Bag::singleton(tuple![2]));

@@ -49,15 +49,12 @@ pub fn fold_transaction(catalog: &Catalog, view: &View, tx: &Transaction) -> Res
 /// `MV := (MV ∸ ∇MV) ⊎ ΔMV; ∇MV := φ; ΔMV := φ`, all under the `MV` write
 /// lock. No query evaluation happens here — this is the minimal-downtime
 /// path the paper aims for.
-pub fn apply_diff_tables(catalog: &Catalog, view: &View) -> Result<()> {
-    apply_diff_tables_with(catalog, view, None)
-}
-
-/// [`apply_diff_tables`] with an optional worker pool: when `MV` and both
-/// differential tables are hash-sharded, the `(MV ∸ ∇MV) ⊎ ΔMV` apply runs
-/// per shard across `width` workers — shrinking the window the `MV` write
-/// lock is held, which is exactly the downtime `refresh_DT` minimizes.
-pub fn apply_diff_tables_with(
+///
+/// `par` is an optional worker pool: when `MV` and both differential
+/// tables are hash-sharded, the `(MV ∸ ∇MV) ⊎ ΔMV` apply runs per shard
+/// across `width` workers — shrinking the window the `MV` write lock is
+/// held, which is exactly the downtime `refresh_DT` minimizes.
+pub fn apply_diff_tables(
     catalog: &Catalog,
     view: &View,
     par: Option<(&WorkerPool, usize)>,
@@ -146,7 +143,7 @@ mod tests {
             .monus(&c.bag_of(dn).unwrap())
             .union(&c.bag_of(inm).unwrap());
         assert_eq!(lhs, rhs);
-        apply_diff_tables(&c, &view).unwrap();
+        apply_diff_tables(&c, &view, None).unwrap();
         assert_eq!(c.bag_of(view.mv_table()).unwrap(), lhs);
         assert!(c.require(dn).unwrap().is_empty());
         assert!(c.require(inm).unwrap().is_empty());
@@ -178,8 +175,8 @@ mod tests {
         assert!(c2.bag_of(in2).unwrap().is_empty());
 
         // both refresh to the same truth
-        apply_diff_tables(&c, &view).unwrap();
-        apply_diff_tables(&c2, &view2).unwrap();
+        apply_diff_tables(&c, &view, None).unwrap();
+        apply_diff_tables(&c2, &view2, None).unwrap();
         assert_eq!(
             c.bag_of(view.mv_table()).unwrap(),
             c2.bag_of(view2.mv_table()).unwrap()
@@ -227,7 +224,7 @@ mod tests {
         let compiled = dvm_algebra::infer::compile(&def, &c).unwrap();
         let view = View::new("v", def, compiled, Scenario::BaseLog, Minimality::Weak).unwrap();
         assert!(matches!(
-            apply_diff_tables(&c, &view),
+            apply_diff_tables(&c, &view, None),
             Err(CoreError::WrongScenario { .. })
         ));
     }

@@ -6,8 +6,8 @@
 //! The switch follows the tracer's contract: the **disabled** path costs
 //! one relaxed atomic load per potential capture site ([`profiling_on`]),
 //! so the ≤5% instrumentation budget `obs_guard` enforces is unaffected.
-//! When enabled, the streaming executor wraps every fused pipeline stage
-//! and materializing breaker in rows-in/rows-out/nanos counters and
+//! When enabled, the streaming executor's probe wraps every fused pipeline
+//! stage and materializing breaker in rows-in/rows-out/nanos counters and
 //! deposits the finished [`OpProf`] tree here via [`record_eval`]; the
 //! parallel delta-apply/compose paths deposit per-shard [`ShardProfile`]s
 //! via [`record_shards`]. The maintenance driver (which runs the whole
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 static PROFILING: AtomicU8 = AtomicU8::new(0);
 
 /// Flip operator-level profiling on or off (process-wide, like
-/// [`crate::Tracer`]'s enable bit and the evaluator mode switch).
+/// [`crate::Tracer`]'s enable bit).
 pub fn set_profiling(on: bool) {
     PROFILING.store(on as u8, Ordering::SeqCst);
 }

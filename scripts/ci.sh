@@ -86,12 +86,21 @@ cargo run --release --offline -q -p dvm-bench --bin exp_profile -- --test
 echo "==> CDC ingestion experiment smoke"
 cargo run --release --offline -q -p dvm-bench --bin exp_ingest -- --test
 
-# Compiled delta-plan smoke: the compiled-path and per-call-derivation
-# twins must stay bag-equal to each other and to a from-scratch recompute
-# across several propagate/refresh rounds (join + aggregate views), and
-# all six compiled/per_call benchmark series must run end-to-end.
+# Compiled delta-plan smoke: the compiled program's ▼/▲ and a per-call
+# derivation of them must stay bag-equal on every backlog, and the views
+# they maintain equal to a from-scratch recompute, across several
+# propagate/refresh rounds (join + aggregate views); all six
+# compiled/per_call benchmark series must run end-to-end.
 echo "==> compiled delta-plan experiment smoke"
 cargo run --release --offline -q -p dvm-bench --bin exp_compile -- --test
+
+# The repo's benchmark (benchmark/, dvmbench) is a workspace of its own, so
+# nothing above compiles it: an engine API change could break
+# benchmark/src/layers.rs silently. Its offline check builds it against
+# this checkout, runs its unit tests, and smoke-runs all four workloads in
+# both modes with the oracle on.
+echo "==> dvmbench self-check (benchmark/check.sh)"
+bash benchmark/check.sh
 
 # Every JSON artifact under results/ must parse and match its schema
 # (pure-Rust validation via dvm_obs::json — no jq in the image), including
