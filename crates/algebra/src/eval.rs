@@ -18,6 +18,9 @@
 //!   and a [`JoinBuildCache`], reused across evaluations and views. The
 //!   same code profiles itself when `dvm_obs` profiling is on (see "the
 //!   probe" below) — there is no second executor to keep in sync.
+//! * [`eval_pair`] runs a maintenance call's `(▼, ▲)` plans as one
+//!   program on that executor: subplans both need are computed once and
+//!   lent out by reference ([`SharedPlans`]).
 //! * [`eval_reference`] is the original strict bottom-up materializing
 //!   evaluator. Nothing in the engine calls it; it exists so tests (and the
 //!   `exp_eval` baseline series) have an independent implementation to
@@ -39,8 +42,8 @@ use dvm_storage::{
     Value,
 };
 use std::borrow::Cow;
-use std::cell::Cell;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::cell::{Cell, OnceCell};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -231,19 +234,39 @@ impl BagSource for HashMap<String, Bag> {
 /// load here and one branch per pipeline *stage constructed* — nothing per
 /// tuple.
 pub fn eval(plan: &Plan, src: &dyn BagSource) -> Result<Bag> {
+    run(plan, &Cx::new(src, &SharedPlans::default()))
+}
+
+/// Evaluate a maintenance call's `(▼, ▲)` plan pair as one program: both
+/// plans see the same source, and every subplan `shared` names is computed
+/// by whichever plan needs it first and lent to later uses by reference.
+/// `shared` must be [`SharedPlans::of`] these very plans. The results live
+/// in a context local to this call and die with it.
+pub fn eval_pair(
+    del: &Plan,
+    ins: &Plan,
+    shared: &SharedPlans,
+    src: &dyn BagSource,
+) -> Result<(Bag, Bag)> {
+    let cx = Cx::new(src, shared);
+    Ok((run(del, &cx)?, run(ins, &cx)?))
+}
+
+/// One plan of a call, probed iff profiling is on.
+fn run(plan: &Plan, cx: &Cx<'_>) -> Result<Bag> {
     if !dvm_obs::profiling_on() {
-        return Ok(eval_to_bag(plan, src, None)?.into_owned());
+        return Ok(eval_to_bag(plan, cx, None, None)?.into_owned());
     }
-    let (bag, tree) = eval_probed(plan, src)?;
+    let (bag, tree) = eval_probed(plan, cx)?;
     dvm_obs::profile::record_eval(tree);
     Ok(bag)
 }
 
-/// [`eval`] with the probe on: the result bag plus its annotated tree.
-fn eval_probed(plan: &Plan, src: &dyn BagSource) -> Result<(Bag, OpProf)> {
+/// [`run`] with the probe on: the result bag plus its annotated tree.
+fn eval_probed(plan: &Plan, cx: &Cx<'_>) -> Result<(Bag, OpProf)> {
     let t = Instant::now();
     let mut root = Vec::with_capacity(1);
-    let bag = eval_to_bag(plan, src, Some(&mut root))?.into_owned();
+    let bag = eval_to_bag(plan, cx, None, Some(&mut root))?.into_owned();
     let mut tree = root.pop().expect("one node per plan").finish();
     // Per-operator timers cannot see the driver's own work (pipeline
     // setup, result materialization, tree assembly), so lift the root's
@@ -357,23 +380,175 @@ impl Iterator for Timed<'_> {
     }
 }
 
+// ---- one call's context ---------------------------------------------------
+
+/// The subplans of a `(▼, ▲)` plan pair that one [`eval_pair`] call
+/// computes once: every pipeline breaker (`∸`, `ε`, `min`, `max`, `EXCEPT`,
+/// `×`, `γ`) and every hash-join build side that occurs more than once
+/// across the two plans — Figure 2 puts the survivors `F ∸ D F` and the
+/// aggregates `G(E)`, `G(η(E))` into *both* change queries. Occurrences are
+/// matched by [`Plan::fingerprint128`] where the pair is compiled, never
+/// while it runs; at run time a node is recognized by its address, so a
+/// value is only good for the plans it was made [`of`](Self::of), wherever
+/// their roots move (a miss merely evaluates the node in place).
+#[derive(Debug, Default)]
+pub struct SharedPlans {
+    /// `(node address, is a join build, slot)` per shared occurrence.
+    nodes: Vec<(usize, bool, usize)>,
+    slots: usize,
+}
+
+impl SharedPlans {
+    /// Find the repeated subplans of a plan pair. The two roots themselves
+    /// are left out — callers move them, their inputs are boxed — and a
+    /// repeated breaker is not searched again: its first occurrence covers
+    /// what is inside it.
+    pub fn of(del: &Plan, ins: &Plan) -> SharedPlans {
+        type Seen = BTreeMap<u128, Vec<(usize, bool)>>;
+        fn note(seen: &mut Seen, node: &Plan, build_keys: Option<&[usize]>) -> usize {
+            let same = seen
+                .entry(node.fingerprint128(build_keys.unwrap_or(&[])))
+                .or_default();
+            same.push((node as *const Plan as usize, build_keys.is_some()));
+            same.len()
+        }
+        fn walk(plan: &Plan, seen: &mut Seen) {
+            match plan {
+                Plan::HashJoin {
+                    left,
+                    right,
+                    left_keys,
+                    right_keys,
+                    ..
+                } => {
+                    note(seen, left, Some(left_keys));
+                    note(seen, right, Some(right_keys));
+                }
+                Plan::Scan(_)
+                | Plan::Literal(_)
+                | Plan::Filter(..)
+                | Plan::Project(..)
+                | Plan::Union(..) => {}
+                _breaker => {
+                    if note(seen, plan, None) > 1 {
+                        return;
+                    }
+                }
+            }
+            plan.inputs().into_iter().for_each(|p| walk(p, seen));
+        }
+        let mut seen = Seen::new();
+        for p in del.inputs().into_iter().chain(ins.inputs()) {
+            walk(p, &mut seen);
+        }
+        let mut shared = SharedPlans::default();
+        for same in seen.into_values().filter(|same| same.len() > 1) {
+            let slot = shared.slots;
+            shared.slots += 1;
+            shared
+                .nodes
+                .extend(same.into_iter().map(|(node, build)| (node, build, slot)));
+        }
+        shared
+    }
+
+    /// The slot `plan`'s result (its join build, with `build`) is shared
+    /// through, if this very node is one of the repeated ones.
+    pub(crate) fn slot_of(&self, plan: &Plan, build: bool) -> Option<usize> {
+        let at = plan as *const Plan as usize;
+        let found = self.nodes.iter().find(|(n, b, _)| (*n, *b) == (at, build));
+        found.map(|&(_, _, slot)| slot)
+    }
+
+    /// How many results a call keeps to lend out.
+    pub fn len(&self) -> usize {
+        self.slots
+    }
+
+    /// Whether the pair shares nothing.
+    pub fn is_empty(&self) -> bool {
+        self.slots == 0
+    }
+}
+
+/// What one evaluation call threads through the executor: its source and —
+/// for a plan pair — the shared results computed so far. An explicit value,
+/// local to the call: concurrent maintenance of other views on pool
+/// threads never sees it.
+struct Cx<'a> {
+    src: &'a dyn BagSource,
+    shared: &'a SharedPlans,
+    bags: Vec<OnceCell<Bag>>,
+    builds: Vec<OnceCell<Arc<JoinBuild>>>,
+}
+
+impl<'a> Cx<'a> {
+    fn new(src: &'a dyn BagSource, shared: &'a SharedPlans) -> Self {
+        let cells = shared.slots;
+        Cx {
+            src,
+            shared,
+            bags: (0..cells).map(|_| OnceCell::new()).collect(),
+            builds: (0..cells).map(|_| OnceCell::new()).collect(),
+        }
+    }
+}
+
+/// The key set of a join's build side as a per-tuple test on its probe
+/// side, pushed down to the probe side's scans. `cols` are the join-key
+/// positions in the tuples of the operator the test has been pushed to.
+/// Sound below every operator that treats tuples one at a time:
+/// `σ_K(A ∸ B) = σ_K(A) ∸ σ_K(B)`, likewise `⊎`, `min`, `max`, `EXCEPT`,
+/// `ε`, `σ`, and `Π` with the positions mapped through it. The test is the
+/// join's own ([`normalize_key_into`]), so it drops exactly the tuples the
+/// probe would find no match for.
+#[derive(Clone)]
+struct KeyFilter {
+    keys: Arc<JoinBuild>,
+    cols: Vec<usize>,
+}
+
+impl KeyFilter {
+    fn admits(&self, t: &Tuple, scratch: &mut Vec<Value>) -> bool {
+        normalize_key_into(t, &self.cols, scratch) && self.keys.contains_key(scratch.as_slice())
+    }
+
+    /// Whether the test passes through `plan` to its inputs (for a streamed
+    /// operator the pipeline decides).
+    fn passes(plan: &Plan) -> bool {
+        matches!(
+            plan,
+            Plan::DupElim(_)
+                | Plan::Monus(..)
+                | Plan::MinIntersect(..)
+                | Plan::MaxUnion(..)
+                | Plan::Except(..)
+        )
+    }
+}
+
+/// Drop the owned tuples `kf` does not admit.
+fn key_filtered<'s>(base: TupleStream<'s>, kf: Option<KeyFilter>) -> TupleStream<'s> {
+    let Some(kf) = kf else { return base };
+    let mut scratch = Vec::with_capacity(kf.cols.len());
+    Box::new(base.filter(move |item| match item {
+        Ok((t, _)) => kf.admits(t, &mut scratch),
+        Err(_) => true,
+    }))
+}
+
 // ---- streaming executor ---------------------------------------------------
 
 /// A pull-based stream of `(tuple, multiplicity)` pairs. Errors (missing
 /// tables, multiplicity overflow) flow through as items.
 type TupleStream<'s> = Box<dyn Iterator<Item = Result<(Tuple, u64)>> + 's>;
 
-/// Evaluate a plan to a bag, streaming wherever the fused shape allows and
-/// falling back to the exact bag primitives at pipeline breakers. With a
-/// sink, reports exactly one profile node for `plan`.
-fn eval_to_bag<'a>(plan: &'a Plan, src: &'a dyn BagSource, prof: Sink<'_>) -> Result<Cow<'a, Bag>> {
-    let Some(sink) = prof else {
-        return eval_node(plan, src, None);
-    };
-    let label = match plan {
-        // A streamed plan reports its pipeline's root stage itself.
+/// The profile label of an eagerly evaluated operator; `None` for the
+/// streamed shapes, whose pipeline reports its root stage itself.
+fn eager_label(plan: &Plan) -> Option<String> {
+    Some(match plan {
         Plan::Filter(..) | Plan::Project(..) | Plan::Union(..) | Plan::HashJoin { .. } => {
-            return eval_node(plan, src, Some(sink));
+            return None
         }
         Plan::Scan(name) => format!("Scan {name}"),
         Plan::Literal(_) => "Literal".to_string(),
@@ -384,30 +559,71 @@ fn eval_to_bag<'a>(plan: &'a Plan, src: &'a dyn BagSource, prof: Sink<'_>) -> Re
         Plan::MaxUnion(..) => "MaxUnion (max)".to_string(),
         Plan::Except(..) => "Except".to_string(),
         Plan::GroupAggregate { .. } => "GroupAggregate".to_string(),
+    })
+}
+
+/// Evaluate a plan to a bag, streaming wherever the fused shape allows and
+/// falling back to the exact bag primitives at pipeline breakers. With a
+/// sink, reports exactly one profile node for `plan`. With a key filter,
+/// yields `σ_K(plan)`.
+///
+/// A subplan the call's pair shares is computed at its first use and lent
+/// out afterwards (a `… (shared)` leaf in the profile). A key-filtered
+/// evaluation sees only part of the result, so it neither fills nor reads
+/// the shared slot.
+fn eval_to_bag<'a>(
+    plan: &'a Plan,
+    cx: &'a Cx<'a>,
+    kf: Option<&KeyFilter>,
+    prof: Sink<'_>,
+) -> Result<Cow<'a, Bag>> {
+    let slot = match kf {
+        None => cx.shared.slot_of(plan, false).map(|i| &cx.bags[i]),
+        Some(_) => None,
     };
-    let started = Instant::now();
-    let mut inputs = Vec::new();
-    let bag = eval_node(plan, src, Some(&mut inputs))?;
-    let rows = bag.distinct_len() as u64;
-    sink.push(PNode::new(label, rows, started, inputs));
-    Ok(bag)
+    if let Some(bag) = slot.and_then(OnceCell::get) {
+        if let (Some(sink), Some(label)) = (prof, eager_label(plan)) {
+            let (rows, now) = (bag.distinct_len() as u64, Instant::now());
+            sink.push(PNode::new(label + " (shared)", rows, now, Vec::new()));
+        }
+        return Ok(Cow::Borrowed(bag));
+    }
+    // Under a key filter whatever cannot pass it on streams (and filters).
+    let eager = prof.is_some() && (kf.is_none() || KeyFilter::passes(plan));
+    let bag = match (prof, eager.then(|| eager_label(plan)).flatten()) {
+        (Some(sink), Some(label)) => {
+            let started = Instant::now();
+            let mut inputs = Vec::new();
+            let bag = eval_node(plan, cx, kf, Some(&mut inputs))?;
+            let rows = bag.distinct_len() as u64;
+            sink.push(PNode::new(label, rows, started, inputs));
+            bag
+        }
+        (prof, _) => eval_node(plan, cx, kf, prof)?,
+    };
+    Ok(match slot {
+        Some(cell) => Cow::Borrowed(cell.get_or_init(|| bag.into_owned())),
+        None => bag,
+    })
 }
 
 /// [`eval_to_bag`]'s operator match; `inputs` is where the operator's
 /// inputs (for a streamed plan: its pipeline's root stage) report.
 fn eval_node<'a>(
     plan: &'a Plan,
-    src: &'a dyn BagSource,
+    cx: &'a Cx<'a>,
+    kf: Option<&KeyFilter>,
     mut inputs: Sink<'_>,
 ) -> Result<Cow<'a, Bag>> {
     Ok(match plan {
-        Plan::Scan(name) => Cow::Borrowed(src.bag(name)?),
-        Plan::Literal(bag) => Cow::Borrowed(bag),
-        // Pipeline breakers: exact bag primitives, streaming children.
-        Plan::DupElim(a) => Cow::Owned(eval_to_bag(a, src, inputs)?.dedup()),
+        Plan::Scan(name) if kf.is_none() => Cow::Borrowed(cx.src.bag(name)?),
+        Plan::Literal(bag) if kf.is_none() => Cow::Borrowed(bag),
+        // Pipeline breakers: exact bag primitives, streaming children. The
+        // per-tuple ones hand a key filter on to both inputs.
+        Plan::DupElim(a) => Cow::Owned(eval_to_bag(a, cx, kf, inputs)?.dedup()),
         Plan::Monus(a, b) => {
-            let x = eval_to_bag(a, src, inputs.as_deref_mut())?;
-            let y = eval_to_bag(b, src, inputs)?;
+            let x = eval_to_bag(a, cx, kf, inputs.as_deref_mut())?;
+            let y = eval_to_bag(b, cx, kf, inputs)?;
             match x {
                 Cow::Owned(mut owned) => {
                     owned.monus_assign(&y);
@@ -416,35 +632,36 @@ fn eval_node<'a>(
                 Cow::Borrowed(b_ref) => Cow::Owned(b_ref.monus(&y)),
             }
         }
-        Plan::Product(a, b) => {
-            let x = eval_to_bag(a, src, inputs.as_deref_mut())?;
-            let y = eval_to_bag(b, src, inputs)?;
+        Plan::Product(a, b) if kf.is_none() => {
+            let x = eval_to_bag(a, cx, None, inputs.as_deref_mut())?;
+            let y = eval_to_bag(b, cx, None, inputs)?;
             Cow::Owned(x.product(&y))
         }
         Plan::MinIntersect(a, b) => {
-            let x = eval_to_bag(a, src, inputs.as_deref_mut())?;
-            let y = eval_to_bag(b, src, inputs)?;
+            let x = eval_to_bag(a, cx, kf, inputs.as_deref_mut())?;
+            let y = eval_to_bag(b, cx, kf, inputs)?;
             Cow::Owned(x.min_intersect(&y))
         }
         Plan::MaxUnion(a, b) => {
-            let x = eval_to_bag(a, src, inputs.as_deref_mut())?;
-            let y = eval_to_bag(b, src, inputs)?;
+            let x = eval_to_bag(a, cx, kf, inputs.as_deref_mut())?;
+            let y = eval_to_bag(b, cx, kf, inputs)?;
             Cow::Owned(x.max_union(&y))
         }
         Plan::Except(a, b) => {
-            let x = eval_to_bag(a, src, inputs.as_deref_mut())?;
-            let y = eval_to_bag(b, src, inputs)?;
+            let x = eval_to_bag(a, cx, kf, inputs.as_deref_mut())?;
+            let y = eval_to_bag(b, cx, kf, inputs)?;
             Cow::Owned(x.except_all_occurrences(&y))
         }
-        Plan::GroupAggregate { keys, aggs, input } => {
-            let b = eval_to_bag(input, src, inputs)?;
+        Plan::GroupAggregate { keys, aggs, input } if kf.is_none() => {
+            let b = eval_to_bag(input, cx, None, inputs)?;
             Cow::Owned(group_aggregate_bag(&b, keys, aggs))
         }
-        // Streamable shapes: fuse and drain the pipeline into one bag.
-        Plan::Filter(..) | Plan::Project(..) | Plan::Union(..) | Plan::HashJoin { .. } => {
+        // Streamable shapes — and, under a key filter, everything the
+        // filter stops at: fuse and drain the pipeline into one bag.
+        _ => {
             let fused = fuse(plan);
             let mut out = Bag::new();
-            for item in stream(&fused, src, inputs)? {
+            for item in stream(&fused, cx, kf, inputs)? {
                 let (t, m) = item?;
                 out.insert_n(t, m);
             }
@@ -455,36 +672,65 @@ fn eval_node<'a>(
 
 /// Instantiate a fused pipeline as a pull stream. Bag-backed sources apply
 /// the op chain on *borrowed* tuples ([`apply_ops_ref`]): a tuple rejected
-/// by a leading filter is never cloned, and the first projection allocates
-/// directly from the borrow — the selective-change-query hot path does no
-/// work at all for non-qualifying tuples.
+/// by a pushed key filter or a leading filter is never cloned, and the
+/// first projection allocates directly from the borrow — the
+/// selective-change-query hot path does no work at all for non-qualifying
+/// tuples.
+///
+/// A key filter `kf` (positions relative to the pipeline's *output*) is
+/// mapped through the op chain and handed on to the inputs of a `⊎` or of
+/// a breaker it [passes](KeyFilter::passes); any other source applies it
+/// to what it yields.
 ///
 /// With a probe, the source stage runs an *empty* op chain (so bag-backed
 /// sources clone each tuple up front — a refcount bump, the small price of
-/// per-operator attribution), every fused op becomes its own [`Timed`]
-/// stage on top, and the pipeline's root stage is reported to `prof`.
+/// per-operator attribution), a key filter applied here and every fused op
+/// become [`Timed`] stages of their own on top, and the pipeline's root
+/// stage is reported to `prof`.
 fn stream<'s>(
     fp: &'s FusedPlan<'s>,
-    src: &'s dyn BagSource,
+    cx: &'s Cx<'s>,
+    kf: Option<&KeyFilter>,
     prof: Sink<'_>,
 ) -> Result<TupleStream<'s>> {
     let started = prof.is_some().then(Instant::now);
     let on = started.is_some();
     let ops = if on { &[] } else { fp.ops.as_slice() };
+    // Below the op chain the key columns sit where the projections took
+    // them from.
+    let below = |cols: Vec<usize>, op: &FusedOp| match op {
+        FusedOp::Project(from) => cols.iter().map(|&c| from[c]).collect(),
+        FusedOp::Filter(_) => cols,
+    };
+    let kf = kf.map(|kf| KeyFilter {
+        keys: Arc::clone(&kf.keys),
+        cols: fp.ops.iter().rev().fold(kf.cols.clone(), below),
+    });
+    let (down, here) = match &fp.source {
+        FusedSource::Union(..) => (kf, None),
+        FusedSource::Breaker(plan) if KeyFilter::passes(plan) => (kf, None),
+        _ => (None, kf),
+    };
+    // Unprobed, `here` runs inside the source stage; probed, on top of it.
+    let inline = if on { None } else { here.clone() };
     let over_bag = |bag: &'s Bag| -> TupleStream<'s> {
-        Box::new(
-            bag.iter()
-                .filter_map(move |(t, m)| apply_ops_ref(t, m, ops).map(Ok)),
-        )
+        let kf = inline.clone();
+        let mut scratch = Vec::new();
+        Box::new(bag.iter().filter_map(move |(t, m)| {
+            if kf.as_ref().is_some_and(|kf| !kf.admits(t, &mut scratch)) {
+                return None;
+            }
+            apply_ops_ref(t, m, ops).map(Ok)
+        }))
     };
     let mut inputs = Vec::new();
     let mut build_side = "right";
     let s = match &fp.source {
-        FusedSource::Scan(name) => over_bag(src.bag(name)?),
+        FusedSource::Scan(name) => over_bag(cx.src.bag(name)?),
         FusedSource::Literal(bag) => over_bag(bag),
         FusedSource::Union(a, b) => {
-            let sa = stream(a, src, on.then_some(&mut inputs))?;
-            let sb = stream(b, src, on.then_some(&mut inputs))?;
+            let sa = stream(a, cx, down.as_ref(), on.then_some(&mut inputs))?;
+            let sb = stream(b, cx, down.as_ref(), on.then_some(&mut inputs))?;
             apply_ops(Box::new(sa.chain(sb)), ops)
         }
         FusedSource::Join {
@@ -496,39 +742,53 @@ fn stream<'s>(
             right_keys,
             residual,
         } => {
-            // Build the side worth caching. The right side is the default
-            // (the differential rules put the small delta there), but when
-            // it scans churning internal tables while the left side is all
-            // stable base tables, flip: the base-side build is the one
-            // that survives epoch validation across evaluations, so the
-            // cache turns every later evaluation into pure probing.
-            let build_left = src.join_cache().is_some()
-                && reusable_build(left_plan, src)
-                && !reusable_build(right_plan, src);
+            // Build the side worth caching: a subtree over stable base
+            // tables survives epoch validation across evaluations, so the
+            // cache turns every later evaluation into pure probing (the
+            // right side when both qualify). When neither side does, build
+            // the side that can only be smaller — the differential rules
+            // join a delta with a survivor `F ∸ D F` in either order — and
+            // push its key set into the probe side, so only survivors that
+            // can join are ever materialized.
+            let cacheable = |plan| cx.src.join_cache().is_some() && reusable_build(plan, cx.src);
+            let (left_cached, right_cached) = (cacheable(left_plan), cacheable(right_plan));
+            let by_size = !left_cached && !right_cached;
+            let build_left = if by_size {
+                size_bound(left_plan, cx.src) < size_bound(right_plan, cx.src)
+            } else {
+                left_cached && !right_cached
+            };
             let (build_plan, build_keys, probe_fp, probe_keys) = if build_left {
                 build_side = "left";
                 (*left_plan, *left_keys, &**right, *right_keys)
             } else {
                 (*right_plan, *right_keys, &**left, *left_keys)
             };
-            let table = build_join_table(build_plan, build_keys, src, on.then_some(&mut inputs))?;
-            apply_ops(
-                Box::new(JoinProbe {
-                    probe: stream(probe_fp, src, on.then_some(&mut inputs))?,
-                    build: table,
-                    probe_keys,
-                    residual,
-                    build_left,
-                    scratch: Vec::with_capacity(probe_keys.len()),
-                    out: VecDeque::new(),
-                }),
-                ops,
-            )
+            let table = build_join_table(build_plan, build_keys, cx, on.then_some(&mut inputs))?;
+            let push = by_size.then(|| KeyFilter {
+                keys: Arc::clone(&table),
+                cols: probe_keys.to_vec(),
+            });
+            let joined = Box::new(JoinProbe {
+                probe: stream(probe_fp, cx, push.as_ref(), on.then_some(&mut inputs))?,
+                build: table,
+                probe_keys,
+                residual,
+                build_left,
+                scratch: Vec::with_capacity(probe_keys.len()),
+                out: VecDeque::new(),
+            });
+            apply_ops(key_filtered(joined, inline.clone()), ops)
         }
-        FusedSource::Breaker(plan) => match eval_to_bag(plan, src, on.then_some(&mut inputs))? {
-            Cow::Borrowed(bag) => over_bag(bag),
-            Cow::Owned(bag) => apply_ops(Box::new(bag.into_iter().map(Ok)), ops),
-        },
+        FusedSource::Breaker(plan) => {
+            match eval_to_bag(plan, cx, down.as_ref(), on.then_some(&mut inputs))? {
+                Cow::Borrowed(bag) => over_bag(bag),
+                Cow::Owned(bag) => {
+                    let owned = Box::new(bag.into_iter().map(Ok));
+                    apply_ops(key_filtered(owned, inline.clone()), ops)
+                }
+            }
+        }
     };
     let (Some(parent), Some(started)) = (prof, started) else {
         return Ok(s);
@@ -537,7 +797,10 @@ fn stream<'s>(
     // yielding the whole bag (pipelines are always drained) instead of
     // paying two clock reads for every tuple it hands over.
     let (label, leaf) = match &fp.source {
-        FusedSource::Scan(name) => (format!("Scan {name}"), Some(src.bag(name)?.distinct_len())),
+        FusedSource::Scan(name) => (
+            format!("Scan {name}"),
+            Some(cx.src.bag(name)?.distinct_len()),
+        ),
         FusedSource::Literal(bag) => ("Literal".to_string(), Some(bag.distinct_len())),
         FusedSource::Union(..) => ("Union (⊎)".to_string(), None),
         FusedSource::Join { .. } => (format!("HashJoin (build={build_side})"), None),
@@ -549,6 +812,10 @@ fn stream<'s>(
         Some(rows) => (PNode::new(label, rows as u64, started, inputs), s),
         None => PNode::stage(label, started, inputs, s),
     };
+    if here.is_some() {
+        let staged = key_filtered(s, here);
+        (node, s) = PNode::stage("KeyFilter".to_string(), started, vec![node], staged);
+    }
     for op in &fp.ops {
         let label = match op {
             FusedOp::Filter(_) => "Filter".to_string(),
@@ -615,6 +882,25 @@ fn reusable_build(plan: &Plan, src: &dyn BagSource) -> bool {
     !tables.is_empty() && tables.iter().all(|t| src.is_base(t))
 }
 
+/// A cheap upper bound on the distinct tuples `plan` can yield, from the
+/// `distinct_len` of the scans beneath it — no tuple is touched.
+fn size_bound(plan: &Plan, src: &dyn BagSource) -> usize {
+    match plan {
+        Plan::Scan(name) => src.bag(name).map_or(usize::MAX, Bag::distinct_len),
+        Plan::Literal(bag) => bag.distinct_len(),
+        Plan::Filter(_, a) | Plan::Project(_, a) | Plan::DupElim(a) => size_bound(a, src),
+        Plan::GroupAggregate { input, .. } => size_bound(input, src),
+        Plan::Monus(a, _) | Plan::MinIntersect(a, _) | Plan::Except(a, _) => size_bound(a, src),
+        Plan::Union(a, b) | Plan::MaxUnion(a, b) => {
+            size_bound(a, src).saturating_add(size_bound(b, src))
+        }
+        Plan::Product(a, b)
+        | Plan::HashJoin {
+            left: a, right: b, ..
+        } => size_bound(a, src).saturating_mul(size_bound(b, src)),
+    }
+}
+
 /// Normalize a tuple's key positions into `scratch` (reused across probe
 /// tuples — no allocation). Returns `false` when any key is NULL, which
 /// never joins. `Int` coerces to `Double` so hash-equality coincides with
@@ -631,24 +917,27 @@ fn normalize_key_into(t: &Tuple, keys: &[usize], scratch: &mut Vec<Value>) -> bo
     true
 }
 
-/// Materialize (or fetch from the cache) a join build table: normalized key
-/// → the build tuples carrying it.
+/// Materialize (or fetch) a join build table: normalized key → the build
+/// tuples carrying it.
 ///
 /// Caching requires the source to expose both a [`JoinBuildCache`] and a
 /// stable epoch for *every* table the build subtree scans; the entry key is
 /// the build plan's 128-bit fingerprint salted with the key positions, and
 /// the entry is valid only at exactly the observed epochs. Overlay-style
 /// sources that override some tables simply report no epoch for them,
-/// which disables caching for affected subtrees.
+/// which disables caching for affected subtrees — a build of those that
+/// the call's plan pair repeats is kept in the call's shared slot instead.
 ///
 /// With a sink, reports a `JoinBuild` node over the build subtree — or, on
-/// a cache hit, a `JoinBuild (cached)` leaf whose time is just the lookup.
-fn build_join_table(
-    build_plan: &Plan,
+/// a hit, a `JoinBuild (cached)` / `JoinBuild (shared)` leaf whose time is
+/// just the lookup.
+fn build_join_table<'a>(
+    build_plan: &'a Plan,
     right_keys: &[usize],
-    src: &dyn BagSource,
+    cx: &'a Cx<'a>,
     prof: Sink<'_>,
 ) -> Result<Arc<JoinBuild>> {
+    let src = cx.src;
     let started = prof.is_some().then(Instant::now);
     let mut inputs = Vec::new();
     let cache_ctx = src.join_cache().and_then(|cache| {
@@ -661,29 +950,35 @@ fn build_join_table(
         }
         Some((build_plan.fingerprint128(right_keys), deps, cache))
     });
-    let hit = cache_ctx
+    let slot = match cache_ctx {
+        None => cx.shared.slot_of(build_plan, true).map(|i| &cx.builds[i]),
+        Some(_) => None,
+    };
+    let cached = cache_ctx
         .as_ref()
         .and_then(|(key, deps, cache)| cache.lookup(*key, deps));
-    let mut label = "JoinBuild (cached)";
-    let table = match hit {
-        Some(hit) => hit,
-        None => {
-            label = "JoinBuild";
-            let bag = eval_to_bag(build_plan, src, prof.is_some().then_some(&mut inputs))?;
-            let mut table = JoinBuild::default();
-            let mut scratch: Vec<Value> = Vec::with_capacity(right_keys.len());
-            for (t, m) in bag.iter() {
-                if !normalize_key_into(t, right_keys, &mut scratch) {
-                    continue;
-                }
-                group_entry(&mut table, &scratch).push((t.clone(), m));
+    let (label, table) = if let Some(hit) = cached {
+        ("JoinBuild (cached)", hit)
+    } else if let Some(hit) = slot.and_then(OnceCell::get) {
+        ("JoinBuild (shared)", Arc::clone(hit))
+    } else {
+        let bag = eval_to_bag(build_plan, cx, None, prof.is_some().then_some(&mut inputs))?;
+        let mut table = JoinBuild::default();
+        let mut scratch: Vec<Value> = Vec::with_capacity(right_keys.len());
+        for (t, m) in bag.iter() {
+            if !normalize_key_into(t, right_keys, &mut scratch) {
+                continue;
             }
-            let table = Arc::new(table);
-            if let Some((key, deps, cache)) = cache_ctx {
-                cache.insert(key, deps, Arc::clone(&table));
-            }
-            table
+            group_entry(&mut table, &scratch).push((t.clone(), m));
         }
+        let table = Arc::new(table);
+        if let Some((key, deps, cache)) = cache_ctx {
+            cache.insert(key, deps, Arc::clone(&table));
+        }
+        if let Some(cell) = slot {
+            let _ = cell.set(Arc::clone(&table));
+        }
+        ("JoinBuild", table)
     };
     if let (Some(sink), Some(started)) = (prof, started) {
         let rows = table.values().map(|v| v.len() as u64).sum();
@@ -1270,7 +1565,7 @@ mod tests {
 
     /// Search an annotated tree for an exact label.
     fn tree_contains(p: &OpProf, label: &str) -> bool {
-        p.label == label || p.children.iter().any(|c| tree_contains(c, label))
+        p.nodes().iter().any(|n| n.label == label)
     }
 
     /// Probe on ≡ probe off, as a property: over random plans (NULL join
@@ -1313,10 +1608,12 @@ mod tests {
                     cache: JoinBuildCache::new(),
                 };
 
-                let (cold, cold_tree) = eval_probed(&plan, &src).expect("probed eval");
+                let unshared = SharedPlans::default();
+                let cx = Cx::new(&src, &unshared);
+                let (cold, cold_tree) = eval_probed(&plan, &cx).expect("probed eval");
                 let built = src.cache.stats().misses;
-                let (warm, warm_tree) = eval_probed(&plan, &src).expect("probed eval");
-                let plain = eval_to_bag(&plan, &src, None).expect("unprobed eval");
+                let (warm, warm_tree) = eval_probed(&plan, &cx).expect("probed eval");
+                let plain = eval_to_bag(&plan, &cx, None, None).expect("unprobed eval");
                 let reference = eval_reference(&plan, &state).expect("reference eval");
                 assert_eq!(cold, reference, "probed vs reference on {e}");
                 assert_eq!(warm, reference, "probed (warm cache) vs reference on {e}");

@@ -5,14 +5,23 @@
 //! pushed (the difference between a usable refresh and a cross-product
 //! blow-up).
 
+use crate::eval::SharedPlans;
 use crate::infer::CompiledQuery;
 use crate::plan::{PhysPredicate, Plan};
 use std::fmt::Write as _;
 
 /// Render a plan as an indented tree, one operator per line.
 pub fn explain_plan(plan: &Plan) -> String {
+    explain_plan_shared(plan, &SharedPlans::default())
+}
+
+/// [`explain_plan`] for one plan of a `(▼, ▲)` pair: an operator whose
+/// result the pair computes once is marked `[shared #slot]`, a join side
+/// whose hash build it computes once `[shared build #slot]` (used when that
+/// side is the one built and the join-build cache does not hold it).
+pub fn explain_plan_shared(plan: &Plan, shared: &SharedPlans) -> String {
     let mut out = String::new();
-    render(plan, 0, &mut out);
+    render(plan, 0, shared, &mut out);
     out
 }
 
@@ -21,42 +30,44 @@ pub fn explain_query(q: &CompiledQuery) -> String {
     format!("schema: {}\n{}", q.schema, explain_plan(&q.plan))
 }
 
-fn render(plan: &Plan, depth: usize, out: &mut String) {
+fn render(plan: &Plan, depth: usize, shared: &SharedPlans, out: &mut String) {
     let pad = "  ".repeat(depth);
+    let head = |out: &mut String, label: std::fmt::Arguments<'_>| {
+        write!(out, "{pad}{label}").unwrap();
+        if let Some(slot) = shared.slot_of(plan, false) {
+            write!(out, "  [shared #{slot}]").unwrap();
+        }
+        if let Some(slot) = shared.slot_of(plan, true) {
+            write!(out, "  [shared build #{slot}]").unwrap();
+        }
+        out.push('\n');
+    };
     match plan {
-        Plan::Scan(name) => writeln!(out, "{pad}Scan {name}").unwrap(),
-        Plan::Literal(bag) => writeln!(
-            out,
-            "{pad}Literal [{} tuples, {} distinct]",
-            bag.len(),
-            bag.distinct_len()
-        )
-        .unwrap(),
-        Plan::Filter(pred, input) => {
-            writeln!(out, "{pad}Filter {}", render_pred(pred)).unwrap();
-            render(input, depth + 1, out);
+        Plan::Scan(name) => head(out, format_args!("Scan {name}")),
+        Plan::Literal(bag) => {
+            let (tuples, distinct) = (bag.len(), bag.distinct_len());
+            head(
+                out,
+                format_args!("Literal [{tuples} tuples, {distinct} distinct]"),
+            );
         }
-        Plan::Project(cols, input) => {
+        Plan::Filter(pred, _) => head(out, format_args!("Filter {}", render_pred(pred))),
+        Plan::Project(cols, _) => {
             let cols: Vec<String> = cols.iter().map(|c| format!("#{c}")).collect();
-            writeln!(out, "{pad}Project [{}]", cols.join(", ")).unwrap();
-            render(input, depth + 1, out);
+            head(out, format_args!("Project [{}]", cols.join(", ")));
         }
-        Plan::DupElim(input) => {
-            writeln!(out, "{pad}DupElim (ε)").unwrap();
-            render(input, depth + 1, out);
-        }
-        Plan::Union(a, b) => binary(out, pad, "Union (⊎)", a, b, depth),
-        Plan::Monus(a, b) => binary(out, pad, "Monus (∸)", a, b, depth),
-        Plan::Product(a, b) => binary(out, pad, "Product (×)", a, b, depth),
-        Plan::MinIntersect(a, b) => binary(out, pad, "MinIntersect (min)", a, b, depth),
-        Plan::MaxUnion(a, b) => binary(out, pad, "MaxUnion (max)", a, b, depth),
-        Plan::Except(a, b) => binary(out, pad, "Except", a, b, depth),
+        Plan::DupElim(_) => head(out, format_args!("DupElim (ε)")),
+        Plan::Union(..) => head(out, format_args!("Union (⊎)")),
+        Plan::Monus(..) => head(out, format_args!("Monus (∸)")),
+        Plan::Product(..) => head(out, format_args!("Product (×)")),
+        Plan::MinIntersect(..) => head(out, format_args!("MinIntersect (min)")),
+        Plan::MaxUnion(..) => head(out, format_args!("MaxUnion (max)")),
+        Plan::Except(..) => head(out, format_args!("Except")),
         Plan::HashJoin {
-            left,
-            right,
             left_keys,
             right_keys,
             residual,
+            ..
         } => {
             let keys: Vec<String> = left_keys
                 .iter()
@@ -67,11 +78,10 @@ fn render(plan: &Plan, depth: usize, out: &mut String) {
                 PhysPredicate::Const(true) => String::new(),
                 p => format!(" residual: {}", render_pred(p)),
             };
-            writeln!(out, "{pad}HashJoin on [{}]{residual_s}", keys.join(", ")).unwrap();
-            render(left, depth + 1, out);
-            render(right, depth + 1, out);
+            let keys = keys.join(", ");
+            head(out, format_args!("HashJoin on [{keys}]{residual_s}"));
         }
-        Plan::GroupAggregate { keys, aggs, input } => {
+        Plan::GroupAggregate { keys, aggs, .. } => {
             let keys: Vec<String> = keys.iter().map(|k| format!("#{k}")).collect();
             let aggs: Vec<String> = aggs
                 .iter()
@@ -80,22 +90,19 @@ fn render(plan: &Plan, depth: usize, out: &mut String) {
                     Some(i) => format!("{func}(#{i})"),
                 })
                 .collect();
-            writeln!(
+            head(
                 out,
-                "{pad}GroupAggregate (γ) by [{}] computing [{}]",
-                keys.join(", "),
-                aggs.join(", ")
-            )
-            .unwrap();
-            render(input, depth + 1, out);
+                format_args!(
+                    "GroupAggregate (γ) by [{}] computing [{}]",
+                    keys.join(", "),
+                    aggs.join(", ")
+                ),
+            );
         }
     }
-}
-
-fn binary(out: &mut String, pad: String, label: &str, a: &Plan, b: &Plan, depth: usize) {
-    writeln!(out, "{pad}{label}").unwrap();
-    render(a, depth + 1, out);
-    render(b, depth + 1, out);
+    for input in plan.inputs() {
+        render(input, depth + 1, shared, out);
+    }
 }
 
 /// Render a compiled predicate with `#i` column positions.

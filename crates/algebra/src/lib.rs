@@ -35,8 +35,10 @@ pub mod testgen;
 
 pub use aggregate::{group_aggregate_bag, group_entry, AggCall, AggFunc, GroupAggregateState};
 pub use error::{AlgebraError, Result};
-pub use eval::{eval, eval_in_catalog, eval_reference, BagSource, PinnedState};
-pub use explain::{explain_plan, explain_query};
+pub use eval::{
+    eval, eval_in_catalog, eval_pair, eval_reference, BagSource, PinnedState, SharedPlans,
+};
+pub use explain::{explain_plan, explain_plan_shared, explain_query};
 pub use expr::Expr;
 pub use infer::{compile, compile_unoptimized, infer_schema, CompiledQuery, SchemaProvider};
 pub use plan::Plan;

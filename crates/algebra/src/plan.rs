@@ -241,27 +241,28 @@ impl Plan {
         }
     }
 
-    fn collect_tables(&self, out: &mut BTreeSet<String>) {
+    /// The plans this node reads, left to right.
+    pub(crate) fn inputs(&self) -> Vec<&Plan> {
         match self {
-            Plan::Scan(n) => {
-                out.insert(n.clone());
-            }
-            Plan::Literal(_) => {}
-            Plan::Filter(_, p) | Plan::Project(_, p) | Plan::DupElim(p) => p.collect_tables(out),
+            Plan::Scan(_) | Plan::Literal(_) => Vec::new(),
+            Plan::Filter(_, p) | Plan::Project(_, p) | Plan::DupElim(p) => vec![p],
+            Plan::GroupAggregate { input, .. } => vec![input],
             Plan::Union(a, b)
             | Plan::Monus(a, b)
             | Plan::Product(a, b)
             | Plan::MinIntersect(a, b)
             | Plan::MaxUnion(a, b)
-            | Plan::Except(a, b) => {
-                a.collect_tables(out);
-                b.collect_tables(out);
-            }
-            Plan::HashJoin { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
-            }
-            Plan::GroupAggregate { input, .. } => input.collect_tables(out),
+            | Plan::Except(a, b) => vec![a, b],
+            Plan::HashJoin { left, right, .. } => vec![left, right],
+        }
+    }
+
+    fn collect_tables(&self, out: &mut BTreeSet<String>) {
+        if let Plan::Scan(n) = self {
+            out.insert(n.clone());
+        }
+        for p in self.inputs() {
+            p.collect_tables(out);
         }
     }
 }

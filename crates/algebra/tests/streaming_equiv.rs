@@ -190,3 +190,112 @@ fn streaming_optimized_matches_reference_unoptimized() {
             );
         });
 }
+
+/// Pair evaluation ≡ two independent reference evaluations. The pairs have
+/// the shapes Figure 2 derives — `(X ∸ Y, Y ∸ X)` over aggregates (the γ
+/// rule) and two small sides joined with one survivor `X ∸ Y` (the join
+/// rule) — over random `X`, `Y` with EXCEPT, NULL and Int/Double join keys
+/// and `<=>` conjuncts, so subplans are shared between the two plans, join
+/// builds go to the smaller side and key sets are pushed into the probe
+/// side. Probe on and probe off must both agree with the oracle, and the
+/// profile trees say how often each mechanism actually ran.
+#[test]
+fn pair_evaluation_matches_independent_reference_evaluation() {
+    use dvm_algebra::predicate::{col, Predicate};
+    use dvm_algebra::{eval_pair, AggCall, AggFunc, CmpOp, ColRef, Expr, Operand, SharedPlans};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let u = Universe::mixed(3);
+    let provider = u.provider();
+    let (reused, pushed) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    Prop::new("pair_evaluation_matches_independent_reference_evaluation")
+        .cases(500)
+        .run(|rng| {
+            let state = u.state(rng, 5);
+            let (x, y) = (u.expr(rng, 2), u.expr(rng, 2));
+            let (del, ins) = if rng.chance(1, 2) {
+                let calls = vec![
+                    AggCall::count_star(),
+                    AggCall::new(AggFunc::Sum, ColRef::new("b")),
+                    AggCall::new(AggFunc::Min, ColRef::new("b")),
+                ];
+                let g = |e: Expr| e.group_aggregate(vec![ColRef::new("a")], calls.clone());
+                (g(x.clone()).monus(g(y.clone())), g(y).monus(g(x)))
+            } else {
+                let survivor = x.monus(y);
+                let join = |rng: &mut dvm_algebra::testgen::Rng, small: Expr| {
+                    let key = |rng: &mut dvm_algebra::testgen::Rng, side: &str| {
+                        let column = if rng.chance(1, 2) { "a" } else { "b" };
+                        col(&format!("{side}.{column}"))
+                    };
+                    let mut on = Predicate::eq(key(rng, "l"), key(rng, "r"));
+                    if rng.chance(1, 3) {
+                        let null_safe = |side: &str| Operand::Col(ColRef::qualified(side, "b"));
+                        on = on.and(Predicate::Cmp(
+                            null_safe("l"),
+                            CmpOp::NullEq,
+                            null_safe("r"),
+                        ));
+                    }
+                    let (l, r) = if rng.chance(1, 2) {
+                        (small, survivor.clone())
+                    } else {
+                        (survivor.clone(), small)
+                    };
+                    (l.alias("l"))
+                        .product(r.alias("r"))
+                        .select(on.and(u.predicate(rng, &["l", "r"])))
+                        .project(["l.a", "r.b"])
+                };
+                let (d1, d2) = (u.expr(rng, 1), u.expr(rng, 1));
+                (join(rng, d1), join(rng, d2).union(survivor.clone()))
+            };
+            let del = compile(&del, &provider).expect("typecheck").plan;
+            let ins = compile(&ins, &provider).expect("typecheck").plan;
+            let shared = SharedPlans::of(&del, &ins);
+            let want = (
+                eval_reference(&del, &state).expect("reference ▼"),
+                eval_reference(&ins, &state).expect("reference ▲"),
+            );
+
+            let plain = eval_pair(&del, &ins, &shared, &state).expect("pair eval");
+            assert_eq!(plain, want, "pair diverged on\n▼ {del:?}\n▲ {ins:?}");
+
+            dvm_obs::set_profiling(true);
+            let _ = dvm_obs::profile::take_captured();
+            let probed = eval_pair(&del, &ins, &shared, &state);
+            let trees = dvm_obs::profile::take_captured().evals;
+            dvm_obs::set_profiling(false);
+            assert_eq!(
+                probed.expect("probed pair eval"),
+                want,
+                "probed pair diverged"
+            );
+            assert_eq!(trees.len(), 2, "one tree per plan of the pair");
+            for tree in &trees {
+                assert_eq!(
+                    tree.total_exclusive_nanos(),
+                    tree.nanos,
+                    "{}",
+                    tree.render()
+                );
+            }
+            let mentions = |label: &str| {
+                let mut nodes = trees.iter().flat_map(|t| t.nodes());
+                nodes.any(|n| n.label.contains(label))
+            };
+            if mentions("(shared)") {
+                assert!(!shared.is_empty());
+                reused.fetch_add(1, Ordering::Relaxed);
+            }
+            if mentions("KeyFilter") {
+                pushed.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    let (reused, pushed) = (reused.into_inner(), pushed.into_inner());
+    assert!(
+        reused > 100,
+        "shared subplans were reused in only {reused} cases"
+    );
+    assert!(pushed > 100, "key sets were pushed in only {pushed} cases");
+}

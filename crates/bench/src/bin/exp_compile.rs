@@ -25,6 +25,11 @@
 //! * `compile/agg_small/{compiled,per_call}` — a GROUP BY view (COUNT,
 //!   SUM over sales), whose γ differentiation is the costliest to re-run
 //!   per call.
+//! * `compile/both_logs/{compiled,per_call}` — sales *and* customer scores
+//!   change between propagates (dvmbench's `bulk_refresh` shape): all four
+//!   logs of the join view are active, no join side is a cacheable base
+//!   build, and both series run the pair evaluation that builds on the
+//!   log side and pushes its key set into the base scan.
 //!
 //! Every round is differentially checked before timing: the compiled and
 //! per-call `▼/▲` must be bag-equal on the same backlog, and the view
@@ -32,11 +37,11 @@
 //! checks and one quick sample per series without writing (the
 //! `scripts/ci.sh` smoke).
 
-use dvm_algebra::{compile, eval, AggCall, AggFunc, ColRef, Expr, PinnedState};
+use dvm_algebra::{compile, eval_pair, AggCall, AggFunc, ColRef, Expr, PinnedState, SharedPlans};
 use dvm_bench::report::{summary_table, write_json};
 use dvm_bench::{eval_pending_deltas, retail_db};
 use dvm_core::{Database, Minimality, Scenario};
-use dvm_delta::post_update_deltas_pruned;
+use dvm_delta::{post_update_deltas_pruned, Transaction};
 use dvm_storage::Bag;
 use dvm_testkit::bench::{Bench, Summary};
 use dvm_workload::RetailGen;
@@ -62,9 +67,10 @@ fn agg_expr() -> Expr {
 }
 
 /// A retail database with the join view `V` and the aggregate view `VA`,
-/// plus one warmed-up propagate so the measured rounds hit the variant
-/// cache (steady state), never the one-time compile.
-fn make(seed: u64) -> (Database, RetailGen) {
+/// plus one warmed-up propagate of the backlog shape about to be measured,
+/// so the measured rounds hit the variant cache (steady state), never the
+/// one-time compile of their log-activity mask.
+fn make(seed: u64, both_logs: bool) -> (Database, RetailGen) {
     let (db, mut gen) = retail_db(
         CUSTOMERS,
         INITIAL_SALES,
@@ -74,15 +80,30 @@ fn make(seed: u64) -> (Database, RetailGen) {
     );
     db.create_view_with("VA", agg_expr(), Scenario::Combined, Minimality::Weak)
         .expect("create aggregate view");
-    db.execute(&gen.sales_batch(SMALL)).unwrap();
+    db.execute(&backlog(&mut gen, SMALL, both_logs)).unwrap();
     db.propagate("V").unwrap();
     db.propagate("VA").unwrap();
     (db, gen)
 }
 
+/// A backlog of `sales` new sales, plus — for the `both_logs` shape — as
+/// many customer score flips as a tenth of that (at least one).
+fn backlog(gen: &mut RetailGen, sales: usize, both_logs: bool) -> Transaction {
+    let mut tx = gen.sales_batch(sales);
+    if both_logs {
+        let flips = gen.score_change_batch((sales / 10).max(1));
+        let (old, new) = flips.get("customer").expect("score flips touch customer");
+        // A customer drawn twice still flips once.
+        tx = tx
+            .delete("customer", old.dedup())
+            .insert("customer", new.dedup());
+    }
+    tx
+}
+
 /// The pre-compilation propagate front half: re-derive, simplify and
 /// plan-compile `▼(L,Q)/▲(L,Q)` symbolically for the current log, then
-/// evaluate both against one pinned state.
+/// evaluate the pair against one pinned state.
 fn per_call_deltas(db: &Database, view: &str) -> (Bag, Bag) {
     let catalog = db.catalog();
     let view = db.view(view).unwrap();
@@ -96,22 +117,21 @@ fn per_call_deltas(db: &Database, view: &str) -> (Bag, Bag) {
     let mut tables = del.plan.tables();
     tables.extend(ins.plan.tables());
     let pinned = PinnedState::pin(catalog, &tables).unwrap();
-    (
-        eval(&del.plan, &pinned).unwrap(),
-        eval(&ins.plan, &pinned).unwrap(),
-    )
+    let shared = SharedPlans::of(&del.plan, &ins.plan);
+    eval_pair(&del.plan, &ins.plan, &shared, &pinned).unwrap()
 }
 
 /// Compiled and per-call derivation must be indistinguishable: the same
 /// `▼/▲` bags on every backlog, and a maintained view equal to the truth —
 /// checked across several rounds on both views.
 fn differential_check() {
-    let (db, mut gen) = make(7);
-    for round in 0..4 {
-        db.execute(&gen.sales_batch(25)).unwrap();
+    let (db, mut gen) = make(7, false);
+    for round in 0..6 {
+        // The last rounds change customer scores too: every log active.
+        db.execute(&backlog(&mut gen, 25, round >= 4)).unwrap();
         for v in ["V", "VA"] {
             assert_eq!(
-                eval_pending_deltas(&db, v, eval),
+                eval_pending_deltas(&db, v, eval_pair),
                 per_call_deltas(&db, v),
                 "round {round}: {v} ▼/▲ diverged compiled vs per-call"
             );
@@ -140,18 +160,21 @@ fn main() {
         ("compile/delta1000/per_call", "V", LARGE, false),
         ("compile/agg_small/compiled", "VA", SMALL, true),
         ("compile/agg_small/per_call", "VA", SMALL, false),
+        ("compile/both_logs/compiled", "V", SMALL, true),
+        ("compile/both_logs/per_call", "V", SMALL, false),
     ];
     for &(name, view, batch, use_compiled) in cases {
         out.push(bench.run_batched(
             name,
             || {
-                let (db, mut gen) = make(42);
-                db.execute(&gen.sales_batch(batch)).unwrap();
+                let both_logs = name.contains("both_logs");
+                let (db, mut gen) = make(42, both_logs);
+                db.execute(&backlog(&mut gen, batch, both_logs)).unwrap();
                 db
             },
             |db| {
                 let deltas = if use_compiled {
-                    eval_pending_deltas(&db, view, eval)
+                    eval_pending_deltas(&db, view, eval_pair)
                 } else {
                     per_call_deltas(&db, view)
                 };
@@ -178,10 +201,11 @@ fn main() {
     };
     println!(
         "\ncompiled-plan speedup (median per-call / compiled): \
-         small delta {:.1}x, 1000-delta {:.1}x, aggregate {:.1}x",
+         small delta {:.1}x, 1000-delta {:.1}x, aggregate {:.1}x, both logs {:.1}x",
         median("compile/small_delta/per_call") / median("compile/small_delta/compiled"),
         median("compile/delta1000/per_call") / median("compile/delta1000/compiled"),
         median("compile/agg_small/per_call") / median("compile/agg_small/compiled"),
+        median("compile/both_logs/per_call") / median("compile/both_logs/compiled"),
     );
 
     let dir = std::path::Path::new("results");

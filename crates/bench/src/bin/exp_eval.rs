@@ -18,14 +18,15 @@
 //! * `propagate/{reference,fused}` — the evaluation half of
 //!   `exp_downtime`'s propagate phase (Combined scenario, deferred sales
 //!   backlog): the view's compiled `▼/▲` plans over its bound log, run
-//!   through each executor by `dvm_bench::eval_pending_deltas`. The
+//!   through each executor by `dvm_bench::eval_pending_deltas` (`fused` is
+//!   the engine's pair evaluation, `reference` the oracle on each plan). The
 //!   Lemma-3 fold and log clear, identical under both, are not timed.
 //!
 //! `scripts/ci.sh` gates on the recorded ratios via `obs_guard`.
 
 use dvm_algebra::plan::{PhysOperand, PhysPredicate, Plan};
 use dvm_algebra::predicate::CmpOp;
-use dvm_algebra::{eval, eval_reference, PinnedState};
+use dvm_algebra::{eval, eval_pair, eval_reference, PinnedState};
 use dvm_bench::report::{summary_table, write_json};
 use dvm_bench::{eval_pending_deltas, retail_db};
 use dvm_core::{Minimality, Scenario};
@@ -226,11 +227,13 @@ fn bench_propagate(b: &Bench, out: &mut Vec<Summary>) {
     // The routines hand the database back so its deallocation (tens of
     // thousands of tuples) is not charged to the evaluation being timed.
     out.push(b.run_batched("propagate/reference", make, |db| {
-        let deltas = eval_pending_deltas(&db, "V", eval_reference);
+        let deltas = eval_pending_deltas(&db, "V", |del, ins, _, src| {
+            Ok((eval_reference(del, src)?, eval_reference(ins, src)?))
+        });
         (db, deltas)
     }));
     out.push(b.run_batched("propagate/fused", make, |db| {
-        let deltas = eval_pending_deltas(&db, "V", eval);
+        let deltas = eval_pending_deltas(&db, "V", eval_pair);
         (db, deltas)
     }));
 }

@@ -9,7 +9,7 @@
 pub mod report;
 
 use dvm_algebra::eval::{BagSource, ParamSource};
-use dvm_algebra::Plan;
+use dvm_algebra::{Plan, SharedPlans};
 use dvm_core::{Database, Minimality, Scenario};
 use dvm_durability::WalOptions;
 use dvm_storage::Bag;
@@ -71,6 +71,11 @@ pub fn retail_db_durable(
     (db, gen)
 }
 
+/// How [`eval_pending_deltas`] evaluates a variant's `(▼, ▲)` plans: the
+/// engine's [`dvm_algebra::eval_pair`], or a baseline of the same shape.
+pub type PairEvaluator =
+    fn(&Plan, &Plan, &SharedPlans, &dyn BagSource) -> dvm_algebra::Result<(Bag, Bag)>;
+
 /// Evaluate a Combined view's pending `▼(L,Q)/▲(L,Q)` the way
 /// `propagate`'s front half does — the compiled variant for the current
 /// log activity, the active log bags bound as parameters over pinned base
@@ -79,11 +84,7 @@ pub fn retail_db_durable(
 /// derivation) are built on this in bench code, so the engine ships one
 /// propagate path; the Lemma-3 fold and log clear every variant shares
 /// are deliberately outside the measurement.
-pub fn eval_pending_deltas(
-    db: &Database,
-    view: &str,
-    eval: fn(&Plan, &dyn BagSource) -> dvm_algebra::Result<Bag>,
-) -> (Bag, Bag) {
+pub fn eval_pending_deltas(db: &Database, view: &str, eval_pair: PairEvaluator) -> (Bag, Bag) {
     let catalog = db.catalog();
     let view = db.view(view).expect("view exists");
     let program = view.delta_program(catalog).expect("combined view");
@@ -97,10 +98,7 @@ pub fn eval_pending_deltas(
     let mut tables = variant.del.plan.tables();
     tables.extend(variant.ins.plan.tables());
     let src = ParamSource::pin(catalog, &tables, &params).expect("pin base tables");
-    (
-        eval(&variant.del.plan, &src).expect("evaluate ▼"),
-        eval(&variant.ins.plan, &src).expect("evaluate ▲"),
-    )
+    eval_pair(&variant.del.plan, &variant.ins.plan, &variant.shared, &src).expect("evaluate ▼/▲")
 }
 
 #[cfg(test)]

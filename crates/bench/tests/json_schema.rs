@@ -236,6 +236,8 @@ fn check_compile_report(doc: &Value, ctx: &str) {
         "compile/delta1000/per_call",
         "compile/agg_small/compiled",
         "compile/agg_small/per_call",
+        "compile/both_logs/compiled",
+        "compile/both_logs/per_call",
     ];
     let benches = require(doc, "benchmarks", ctx).as_arr().unwrap();
     let names: Vec<&str> = benches

@@ -1217,12 +1217,18 @@ impl Database {
         .expect("write to string");
         match program.full_variant() {
             Some(variant) => {
-                writeln!(out, "-- compiled ▼(L,Q) plan (all logs active) --")
-                    .expect("write to string");
-                out.push_str(&dvm_algebra::explain_query(&variant.del));
-                writeln!(out, "-- compiled ▲(L,Q) plan (all logs active) --")
-                    .expect("write to string");
-                out.push_str(&dvm_algebra::explain_query(&variant.ins));
+                for (name, q) in [("▼", &variant.del), ("▲", &variant.ins)] {
+                    let plan = dvm_algebra::explain_plan_shared(&q.plan, &variant.shared);
+                    writeln!(out, "-- compiled {name}(L,Q) plan (all logs active) --")
+                        .expect("write to string");
+                    write!(out, "schema: {}\n{plan}", q.schema).expect("write to string");
+                }
+                writeln!(
+                    out,
+                    "  ({} subplans marked [shared #n] run once per maintenance call)",
+                    variant.shared.len()
+                )
+                .expect("write to string");
             }
             None => {
                 writeln!(out, "  (definition reads no base tables — ▼/▲ are φ)")

@@ -17,7 +17,7 @@ pub mod immediate;
 
 use crate::error::Result;
 use crate::view::View;
-use dvm_algebra::eval::{eval, ParamSource, PinnedState};
+use dvm_algebra::eval::{eval, eval_pair as eval_plan_pair, ParamSource, PinnedState, SharedPlans};
 use dvm_algebra::infer::compile;
 use dvm_algebra::Expr;
 use dvm_delta::CompiledDeltaVariant;
@@ -87,16 +87,18 @@ pub(crate) fn eval_pair_overlay(
     let mut tables = dq.plan.tables();
     tables.extend(iq.plan.tables());
     let src = ParamSource::pin(catalog, &tables, overrides)?;
+    let shared = SharedPlans::of(&dq.plan, &iq.plan);
     phase_end("CompilePin(▼,▲)", 0, t);
-    Ok((eval(&dq.plan, &src)?, eval(&iq.plan, &src)?))
+    Ok(eval_plan_pair(&dq.plan, &iq.plan, &shared, &src)?)
 }
 
 /// Execute a precompiled delta-plan variant: snapshot the active log
 /// tables as parameter bags, pin the remaining (base) tables the stored
-/// plans scan, and evaluate both plans against the bound source. This is
-/// the whole steady-state propagate front half — no differentiation, no
-/// simplification, no plan construction. The snapshot+pin is recorded as
-/// the `BindParams` phase; the evaluations profile themselves.
+/// plans scan, and evaluate both plans against the bound source as one
+/// program (subplans they share run once). This is the whole steady-state
+/// propagate front half — no differentiation, no simplification, no plan
+/// construction. The snapshot+pin is recorded as the `BindParams` phase;
+/// the evaluations profile themselves.
 pub(crate) fn eval_variant_bound(
     catalog: &Catalog,
     variant: &CompiledDeltaVariant,
@@ -111,7 +113,12 @@ pub(crate) fn eval_variant_bound(
     tables.extend(variant.ins.plan.tables());
     let src = ParamSource::pin(catalog, &tables, &params)?;
     phase_end("BindParams", params.values().map(Bag::len).sum(), t);
-    Ok((eval(&variant.del.plan, &src)?, eval(&variant.ins.plan, &src)?))
+    Ok(eval_plan_pair(
+        &variant.del.plan,
+        &variant.ins.plan,
+        &variant.shared,
+        &src,
+    )?)
 }
 
 /// Recompute the view definition from scratch (the non-incremental

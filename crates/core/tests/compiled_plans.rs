@@ -132,6 +132,116 @@ fn steady_state_propagate_does_zero_symbolic_work() {
         db.query_view("vj").unwrap(),
         db.recompute_view("vj").unwrap()
     );
+
+    propagate_work_follows_the_change_on_the_bulk_shape();
+}
+
+/// dvmbench's `bulk_refresh` in small: one transaction changes `sales`
+/// *and* `customer`, so every log of the join view `v` and of the
+/// aggregate view `v_agg` is active and no join side is a cacheable base
+/// build. Read off the profile trees, not a clock: `▼`/`▲` of `v_agg`
+/// share `G(E)` and `G(η(E))` (two aggregations, not four), and `v` builds
+/// its joins on the log sides (at most twice the logged rows, never a
+/// survivor of `sales`). Part of the one flag-dependent test body.
+fn propagate_work_follows_the_change_on_the_bulk_shape() {
+    use dvm_algebra::{lit_str, AggCall, AggFunc, ColRef};
+    let db = Database::new();
+    let customer = db
+        .create_table(
+            "customer",
+            Schema::from_pairs(&[("custId", ValueType::Int), ("score", ValueType::Str)]),
+        )
+        .unwrap();
+    let sales = db
+        .create_table(
+            "sales",
+            Schema::from_pairs(&[("custId", ValueType::Int), ("quantity", ValueType::Int)]),
+        )
+        .unwrap();
+    for c in 0..100i64 {
+        let score = if c % 10 == 0 { "High" } else { "Low" };
+        customer.insert(tuple![c, score]).unwrap();
+    }
+    for s in 0..2_000i64 {
+        sales.insert(tuple![s % 100, s]).unwrap();
+    }
+    let v = Expr::table("customer")
+        .alias("c")
+        .product(Expr::table("sales").alias("s"))
+        .select(
+            Predicate::eq(col("c.custId"), col("s.custId"))
+                .and(Predicate::eq(col("c.score"), lit_str("High"))),
+        )
+        .project(["c.custId", "s.quantity"]);
+    let v_agg = Expr::table("sales").group_aggregate(
+        vec![ColRef::new("custId")],
+        vec![AggCall::new(AggFunc::Sum, ColRef::new("quantity"))],
+    );
+    db.create_view("v", v, Scenario::Combined).unwrap();
+    db.create_view("v_agg", v_agg, Scenario::Combined).unwrap();
+
+    let mut tx = Transaction::new();
+    for s in 0..60i64 {
+        tx = tx
+            .delete_tuple("sales", tuple![s % 100, s])
+            .insert_tuple("sales", tuple![(s * 7) % 100, 5_000 + s]);
+    }
+    for c in [0i64, 1, 10, 11] {
+        let (old, new) = if c % 10 == 0 {
+            ("High", "Low")
+        } else {
+            ("Low", "High")
+        };
+        tx = tx
+            .delete_tuple("customer", tuple![c, old])
+            .insert_tuple("customer", tuple![c, new]);
+    }
+    let logged = tx.change_volume();
+    db.execute(&tx).unwrap();
+
+    db.set_profiling(true);
+    db.propagate("v").unwrap();
+    db.propagate("v_agg").unwrap();
+    let report = db.profile_report();
+    db.set_profiling(false);
+    let trees = |view: &str| -> Vec<dvm_obs::OpProf> {
+        let op = report
+            .ops
+            .iter()
+            .find(|o| o.view == view && o.op == "propagate");
+        op.expect("propagate profiled").evals.clone()
+    };
+    let count = |trees: &[dvm_obs::OpProf], label: &str| {
+        let nodes = trees.iter().flat_map(|t| t.nodes());
+        let found: Vec<_> = nodes.filter(|n| n.label == label).collect();
+        (found.len(), found.iter().map(|n| n.rows_out).sum::<u64>())
+    };
+
+    let agg = trees("v_agg");
+    assert_eq!(
+        count(&agg, "GroupAggregate").0,
+        2,
+        "G(E) and G(η(E)), once each"
+    );
+    assert_eq!(count(&agg, "GroupAggregate (shared)").0, 2, "▲ reuses both");
+    let join = trees("v");
+    let (builds, built_rows) = count(&join, "JoinBuild");
+    assert!(
+        builds > 0 && count(&join, "KeyFilter").0 > 0,
+        "joins built by size"
+    );
+    assert!(
+        built_rows <= 2 * logged,
+        "join builds hold {built_rows} rows for {logged} logged: a survivor was built"
+    );
+
+    for view in ["v", "v_agg"] {
+        db.refresh(view).unwrap();
+        assert_eq!(
+            db.query_view(view).unwrap(),
+            db.recompute_view(view).unwrap()
+        );
+    }
 }
 
 /// Repeated propagates over a one-sided insert stream: the stable side's

@@ -25,7 +25,7 @@ use crate::incremental::LogTables;
 use crate::weak::differentiate;
 use dvm_algebra::infer::{compile, CompiledQuery, SchemaProvider};
 use dvm_algebra::subst::FactoredSubstitution;
-use dvm_algebra::Expr;
+use dvm_algebra::{Expr, SharedPlans};
 use dvm_testkit::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +42,10 @@ pub struct CompiledDeltaVariant {
     pub del: CompiledQuery,
     /// Compiled `▲(L,Q)` — what to add.
     pub ins: CompiledQuery,
+    /// The subplans `del` and `ins` have in common, matched here once so
+    /// that every execution evaluates each of them once
+    /// ([`dvm_algebra::eval_pair`]).
+    pub shared: SharedPlans,
     /// Total AST size of the derived change queries (diagnostics).
     pub expr_size: usize,
 }
@@ -263,10 +267,12 @@ impl CompiledDeltaProgram {
         let pair = differentiate(&self.definition, &l_hat, provider)?;
         // Post-update role swap: ▼ = Add(L̂,Q), ▲ = Del(L̂,Q).
         let expr_size = pair.del.size() + pair.add.size();
+        let (del, ins) = (compile(&pair.add, provider)?, compile(&pair.del, provider)?);
         let variant = Arc::new(CompiledDeltaVariant {
             mask,
-            del: compile(&pair.add, provider)?,
-            ins: compile(&pair.del, provider)?,
+            shared: SharedPlans::of(&del.plan, &ins.plan),
+            del,
+            ins,
             expr_size,
         });
         self.compiles.fetch_add(1, Ordering::Relaxed);

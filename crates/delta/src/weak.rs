@@ -198,9 +198,12 @@ fn del_add(
         // which satisfies Theorem 2 for *any* P = G(η(E)):
         // (Q ∸ (Q ∸ P)) ⊎ (P ∸ Q) = P pointwise, and (Q ∸ P) ⊑ Q.
         // When no table under the aggregate changed, both deltas are φ —
-        // the guard keeps identity substitutions fully incremental (the
-        // engine's O(Δ) path for changed aggregates is the dedicated
-        // count-annotated maintainer, not these change queries).
+        // the guard keeps identity substitutions fully incremental. For a
+        // changed aggregate these change queries *are* the engine's path,
+        // and they cost O(|E|): `G(E)` and `G(η(E))` each once per
+        // maintenance call (the evaluator shares them between Del and
+        // Add). The count-annotated `GroupAggregateState`, which would be
+        // O(|Δ|), is run by nothing but the `exp_agg` experiment.
         Expr::GroupAggregate { .. } => {
             let tables = q.tables();
             if !eta.tables().any(|t| tables.contains(t)) {

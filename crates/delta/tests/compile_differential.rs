@@ -9,8 +9,14 @@
 //! at each step both paths are evaluated against the same state. The
 //! suite also checks the compile-once property: the program performs at
 //! most one symbolic derivation per distinct activity mask.
+//!
+//! At every step the variant is also run the way the engine runs it — its
+//! `(▼, ▲)` pair as one program ([`eval_pair`]: shared subplans once, join
+//! builds on the smaller side with the key set pushed into the probe
+//! side), probe off and on — against the reference evaluator run on each
+//! plan independently.
 
-use dvm_algebra::eval::eval;
+use dvm_algebra::eval::{eval, eval_pair, eval_reference};
 use dvm_algebra::infer::compile;
 use dvm_algebra::testgen::{Rng, Universe};
 use dvm_algebra::Expr;
@@ -30,16 +36,21 @@ fn provider_with_logs(u: &Universe) -> HashMap<String, Schema> {
     p
 }
 
+static PROBE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Run `rounds` random programs of `steps` transactions each, checking
-/// compiled-vs-fresh equality after every transaction.
+/// compiled-vs-fresh equality and pair-vs-reference equality after every
+/// transaction. Returns in how many steps the pair evaluation reused a
+/// shared subplan, and in how many it pushed a key set.
 fn check_rounds(
     u: &Universe,
     rng: &mut Rng,
     rounds: usize,
     steps: usize,
     gen: impl Fn(&Universe, &mut Rng) -> Expr,
-) {
+) -> (usize, usize) {
     let provider = provider_with_logs(u);
+    let (mut reused, mut pushed) = (0, 0);
     for round in 0..rounds {
         let q = gen(u, rng);
         let mut state = u.state(rng, 4);
@@ -96,6 +107,36 @@ fn check_rounds(
                 ev(&fresh.ins),
                 "▲ diverged: q={q} round={round} step={step}"
             );
+
+            let want = (
+                eval_reference(&v.del.plan, &state).unwrap(),
+                eval_reference(&v.ins.plan, &state).unwrap(),
+            );
+            let pair = || eval_pair(&v.del.plan, &v.ins.plan, &v.shared, &state).unwrap();
+            assert_eq!(
+                pair(),
+                want,
+                "pair diverged: q={q} round={round} step={step}"
+            );
+            // The profiling switch is process-wide and the tests of this
+            // file run on parallel threads: one probed section at a time.
+            let probing = PROBE.lock().unwrap_or_else(|e| e.into_inner());
+            dvm_obs::set_profiling(true);
+            let _ = dvm_obs::profile::take_captured();
+            let probed = pair();
+            let trees = dvm_obs::profile::take_captured().evals;
+            dvm_obs::set_profiling(false);
+            drop(probing);
+            assert_eq!(
+                probed, want,
+                "probed pair diverged: q={q} round={round} step={step}"
+            );
+            let mentions = |label: &str| {
+                let mut nodes = trees.iter().flat_map(|t| t.nodes());
+                nodes.any(|n| n.label.contains(label))
+            };
+            reused += usize::from(mentions("(shared)"));
+            pushed += usize::from(mentions("KeyFilter"));
         }
 
         // Compile-once: one derivation per distinct mask, plus the eager
@@ -108,6 +149,7 @@ fn check_rounds(
             masks_seen.len()
         );
     }
+    (reused, pushed)
 }
 
 /// Random relational plans (select/project/join/union/monus/except/...)
@@ -136,5 +178,35 @@ fn compiled_matches_fresh_with_nulls_and_doubles() {
 fn compiled_matches_fresh_on_aggregates() {
     let u = Universe::mixed(3);
     let mut rng = Rng::new(0xA66);
-    check_rounds(&u, &mut rng, 20, 4, |u, rng| u.agg_expr(rng, 2));
+    let (reused, _) = check_rounds(&u, &mut rng, 20, 4, |u, rng| u.agg_expr(rng, 2));
+    assert!(
+        reused > 20,
+        "γ's monus rule shares G(E), G(η(E)): reused in {reused} steps"
+    );
+}
+
+/// Equi-join views (NULL and Int/Double keys, a `<=>` conjunct on some):
+/// the join rule's `D E ⋈ (F ∸ D F)` terms are where the pair evaluation
+/// picks the build side by size and pushes its key set into the survivor.
+#[test]
+fn compiled_pair_matches_reference_on_equi_joins() {
+    use dvm_algebra::predicate::{col, Predicate};
+    use dvm_algebra::{CmpOp, ColRef, Operand};
+    let u = Universe::mixed(3);
+    let mut rng = Rng::new(0x501E);
+    let (_, pushed) = check_rounds(&u, &mut rng, 30, 4, |u, rng| {
+        let mut on = Predicate::eq(
+            col("l.a"),
+            col(if rng.chance(1, 2) { "r.a" } else { "r.b" }),
+        );
+        if rng.chance(1, 3) {
+            let b = |side: &str| Operand::Col(ColRef::qualified(side, "b"));
+            on = on.and(Predicate::Cmp(b("l"), CmpOp::NullEq, b("r")));
+        }
+        (u.expr(rng, 1).alias("l"))
+            .product(u.expr(rng, 1).alias("r"))
+            .select(on.and(u.predicate(rng, &["l", "r"])))
+            .project(["l.a", "r.b"])
+    });
+    assert!(pushed > 20, "key sets were pushed in only {pushed} steps");
 }

@@ -87,6 +87,13 @@ impl OpProf {
                 .sum::<u64>()
     }
 
+    /// Every node of the tree, this one first, children in plan order.
+    pub fn nodes(&self) -> Vec<&OpProf> {
+        let mut out = vec![self];
+        self.children.iter().for_each(|c| out.extend(c.nodes()));
+        out
+    }
+
     /// Render the annotated tree, `EXPLAIN ANALYZE` style.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -89,8 +89,9 @@ cargo run --release --offline -q -p dvm-bench --bin exp_ingest -- --test
 # Compiled delta-plan smoke: the compiled program's ▼/▲ and a per-call
 # derivation of them must stay bag-equal on every backlog, and the views
 # they maintain equal to a from-scratch recompute, across several
-# propagate/refresh rounds (join + aggregate views); all six
-# compiled/per_call benchmark series must run end-to-end.
+# propagate/refresh rounds (join + aggregate views, the last rounds with
+# sales and customer both changing); all eight compiled/per_call benchmark
+# series must run end-to-end.
 echo "==> compiled delta-plan experiment smoke"
 cargo run --release --offline -q -p dvm-bench --bin exp_compile -- --test
 
