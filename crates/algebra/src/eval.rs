@@ -147,32 +147,30 @@ impl BagSource for PinnedState {
 /// This is what lets a plan be compiled once and re-executed against
 /// fresh inputs: the compiled plan scans fixed table *names* (e.g. a
 /// view's log tables), and each execution binds the current contents of
-/// those names as parameters without recompiling. Parameter tables report
+/// those names as parameters without recompiling. Parameters are borrowed,
+/// so a caller that already holds a table's lock lends the guarded bag
+/// instead of copying it (or deadlocking on a pin). Parameter tables report
 /// no epoch and are never "base" — their contents differ per execution,
 /// so any join subtree scanning one is excluded from build caching, while
 /// subtrees over purely pinned tables keep their stable epochs (and hence
 /// their [`JoinBuildCache`] entries).
 pub struct ParamSource<'a> {
     pinned: PinnedState,
-    params: &'a HashMap<String, Bag>,
+    params: HashMap<&'a str, &'a Bag>,
 }
 
 impl<'a> ParamSource<'a> {
-    /// Wrap an already-pinned state with parameter bindings. The pinned
-    /// set need not avoid the parameter names — parameters shadow pins.
-    pub fn new(pinned: PinnedState, params: &'a HashMap<String, Bag>) -> Self {
-        ParamSource { pinned, params }
-    }
-
     /// Pin every table in `tables` that is not parameter-bound, then wrap.
-    pub fn pin(
+    pub fn pin<S: AsRef<str> + ?Sized + 'a>(
         catalog: &Catalog,
         tables: &BTreeSet<String>,
-        params: &'a HashMap<String, Bag>,
+        params: impl IntoIterator<Item = (&'a S, &'a Bag)>,
     ) -> Result<Self> {
+        let params: HashMap<&str, &Bag> =
+            params.into_iter().map(|(n, b)| (n.as_ref(), b)).collect();
         let to_pin: BTreeSet<String> = tables
             .iter()
-            .filter(|t| !params.contains_key(*t))
+            .filter(|t| !params.contains_key(t.as_str()))
             .cloned()
             .collect();
         Ok(ParamSource {
@@ -185,7 +183,7 @@ impl<'a> ParamSource<'a> {
 impl BagSource for ParamSource<'_> {
     fn bag(&self, table: &str) -> Result<&Bag> {
         match self.params.get(table) {
-            Some(b) => Ok(b),
+            Some(b) => Ok(*b),
             None => self.pinned.bag(table),
         }
     }

@@ -78,9 +78,9 @@ pub type PairEvaluator =
 
 /// Evaluate a Combined view's pending `▼(L,Q)/▲(L,Q)` the way
 /// `propagate`'s front half does — the compiled variant for the current
-/// log activity, the active log bags bound as parameters over pinned base
-/// tables — with the evaluator of the caller's choice. The baseline
-/// series (`exp_eval`'s reference executor, `exp_compile`'s per-call
+/// log activity, the active log bags its plans scan bound as parameters
+/// over pinned tables — with the evaluator of the caller's choice. The
+/// baseline series (`exp_eval`'s reference executor, `exp_compile`'s per-call
 /// derivation) are built on this in bench code, so the engine ships one
 /// propagate path; the Lemma-3 fold and log clear every variant shares
 /// are deliberately outside the measurement.
@@ -90,13 +90,14 @@ pub fn eval_pending_deltas(db: &Database, view: &str, eval_pair: PairEvaluator) 
     let program = view.delta_program(catalog).expect("combined view");
     let mask = program.activity_mask(&|t| catalog.get(t).is_some_and(|t| t.is_empty()));
     let (variant, _) = program.variant(mask, catalog).expect("variant compiles");
+    let mut tables = variant.del.plan.tables();
+    tables.extend(variant.ins.plan.tables());
     let params: HashMap<String, Bag> = program
         .active_log_tables(mask)
         .into_iter()
+        .filter(|t| tables.contains(*t))
         .map(|t| (t.to_string(), catalog.bag_of(t).expect("log table")))
         .collect();
-    let mut tables = variant.del.plan.tables();
-    tables.extend(variant.ins.plan.tables());
     let src = ParamSource::pin(catalog, &tables, &params).expect("pin base tables");
     eval_pair(&variant.del.plan, &variant.ins.plan, &variant.shared, &src).expect("evaluate ▼/▲")
 }

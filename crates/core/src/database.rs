@@ -49,7 +49,7 @@ use crate::view::{Minimality, Scenario, View};
 use dvm_algebra::eval::PinnedState;
 use dvm_algebra::infer::compile;
 use dvm_algebra::Expr;
-use dvm_delta::{compose_into, Transaction};
+use dvm_delta::{compose_into, CompiledDeltaVariant, Transaction};
 use dvm_durability::{
     checkpoint as checkpoint_file, Checkpoint, CrashFs, DurabilityError, Wal, WalOptions,
     WalStatus,
@@ -91,6 +91,21 @@ struct DurableState {
     last_checkpoint_lsn: u64,
     /// What the `open` that built this database did.
     last_recovery: Option<RecoveryReport>,
+}
+
+/// Render a stored variant's `(▼, ▲)` plans, each under a
+/// `-- {kind} ▼(L,Q) plan{note} --` heading with its output schema.
+fn render_variant(out: &mut String, variant: &CompiledDeltaVariant, kind: &str, note: &str) {
+    use std::fmt::Write as _;
+    for (name, q) in [("▼", &variant.del), ("▲", &variant.ins)] {
+        let plan = dvm_algebra::explain_plan_shared(&q.plan, &variant.shared);
+        let schema = &q.schema;
+        write!(
+            out,
+            "-- {kind} {name}(L,Q) plan{note} --\nschema: {schema}\n{plan}"
+        )
+        .expect("write to string");
+    }
 }
 
 /// A database with deferred-view-maintenance support.
@@ -1152,7 +1167,10 @@ impl Database {
 
     /// Human-readable EXPLAIN of a view: its definition, the optimized
     /// physical plan of `Q`, and — for log-based scenarios — the plans of
-    /// the post-update refresh queries `▼(L,Q)` / `▲(L,Q)`.
+    /// the post-update refresh queries `▼(L,Q)` / `▲(L,Q)` as the stored
+    /// delta program runs them with every log active. A root-`γ` view's
+    /// plans read `PAST(L,Q)` off the view's own tables; the line above
+    /// them says which invariant vouches for that.
     pub fn explain_view(&self, name: &str) -> Result<String> {
         use std::fmt::Write as _;
         let view = self.view(name)?;
@@ -1166,23 +1184,27 @@ impl Database {
         .expect("write to string");
         writeln!(out, "-- materialization plan --").expect("write to string");
         out.push_str(&dvm_algebra::explain_query(view.compiled()));
-        if let Some(log) = view.log() {
-            let deltas = dvm_delta::post_update_deltas(view.definition(), log, &self.catalog)?;
-            let del = compile(&deltas.del, &self.catalog)?;
-            let ins = compile(&deltas.ins, &self.catalog)?;
-            writeln!(out, "-- refresh ▼(L,Q) plan --").expect("write to string");
-            out.push_str(&dvm_algebra::explain_query(&del));
-            writeln!(out, "-- refresh ▲(L,Q) plan --").expect("write to string");
-            out.push_str(&dvm_algebra::explain_query(&ins));
+        if view.log().is_some() {
+            if let Some(past) = view.materialized_past() {
+                let inv = match view.scenario() {
+                    Scenario::BaseLog => "INV_BL",
+                    _ => "INV_C",
+                };
+                writeln!(out, "-- PAST(L,Q) ← {inv}: {past} --").expect("write to string");
+            }
+            if let Some(variant) = view.delta_program(&self.catalog)?.full_variant() {
+                render_variant(&mut out, &variant, "refresh", "");
+            }
         }
         Ok(out)
     }
 
     /// Render a view's *stored* compiled delta program: the cached ▼/▲
-    /// plans steady-state propagate executes (contrast with
-    /// [`explain_view`](Self::explain_view), which re-derives the symbolic
-    /// queries on each call). Compiles the program on demand if the view
-    /// has not been maintained yet (e.g. right after recovery).
+    /// plans steady-state propagate executes, with its compile age,
+    /// counters and variant inventory ([`explain_view`](Self::explain_view)
+    /// shows the same plans beside the definition's). Compiles the program
+    /// on demand if the view has not been maintained yet (e.g. right after
+    /// recovery).
     pub fn plan_view(&self, name: &str) -> Result<String> {
         use std::fmt::Write as _;
         let view = self.view(name)?;
@@ -1217,12 +1239,7 @@ impl Database {
         .expect("write to string");
         match program.full_variant() {
             Some(variant) => {
-                for (name, q) in [("▼", &variant.del), ("▲", &variant.ins)] {
-                    let plan = dvm_algebra::explain_plan_shared(&q.plan, &variant.shared);
-                    writeln!(out, "-- compiled {name}(L,Q) plan (all logs active) --")
-                        .expect("write to string");
-                    write!(out, "schema: {}\n{plan}", q.schema).expect("write to string");
-                }
+                render_variant(&mut out, &variant, "compiled", " (all logs active)");
                 writeln!(
                     out,
                     "  ({} subplans marked [shared #n] run once per maintenance call)",

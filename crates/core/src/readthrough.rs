@@ -18,6 +18,11 @@
 //! every component (selection distributes over `∸` and `⊎`), so only the
 //! relevant part of the incremental work is ever computed. No write lock
 //! is taken; concurrent readers of the stale `MV` are unaffected.
+//!
+//! A root-`γ` view's change queries are `P ∸ Q` and `Q ∸ P` with `P` the
+//! very combination of `MV` and differential tables the lines above start
+//! from, and `(P ∸ (P ∸ Q)) ⊎ (Q ∸ P) = Q`: its read-through is one
+//! evaluation of `σ_p(Q)`.
 
 use crate::error::Result;
 use crate::scenario::eval_expr;
@@ -57,6 +62,13 @@ fn read_through_inner(
     pred: Option<&Predicate>,
     log_overrides: &std::collections::HashMap<String, Bag>,
 ) -> Result<Bag> {
+    if view.materialized_past().is_some() {
+        // `Q` in the current state reads no log table: no override applies.
+        return match pred {
+            None => crate::scenario::recompute(catalog, view),
+            Some(p) => recompute_where(catalog, view, p),
+        };
+    }
     // σ_p over a materialized bag.
     let mv_schema = view.mv_schema();
     let filter_bag = |bag: Bag| -> Result<Bag> {

@@ -73,9 +73,13 @@ pub fn refresh(catalog: &Catalog, view: &View) -> Result<()> {
     let active = program.active_log_tables(mask);
 
     let mv = catalog.require(view.mv_table())?;
-    // Downtime starts: write-lock MV, then bind, evaluate and apply.
+    // Downtime starts: write-lock MV, then bind, evaluate and apply. A
+    // root-γ program reads MV itself (it is `PAST(L,Q)`, `INV_BL`): the
+    // guard's bag is lent by reference — pinning it here would deadlock
+    // on our own write lock, and a copy would be downtime.
     let mut mv_guard = mv.write();
-    let (del_bag, ins_bag) = eval_variant_bound(catalog, &variant, &active)?;
+    let lent = Some((view.mv_table(), &*mv_guard));
+    let (del_bag, ins_bag) = eval_variant_bound(catalog, &variant, &active, lent)?;
     program.record_bind();
     mv_guard.apply_delta(&del_bag, &ins_bag);
     // L := φ, still inside the refresh transaction.

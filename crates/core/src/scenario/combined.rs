@@ -63,8 +63,12 @@ pub fn propagate(catalog: &Catalog, view: &View, par: Option<(&WorkerPool, usize
     if fresh {
         phase_end("CompileDelta", 0, t);
     }
+    // A root-γ program scans MV/∇MV/ΔMV (`PAST(L,Q)` under `INV_C`): they
+    // are pinned with *read* locks beside the base tables, which cannot
+    // wait on a writer — the maintenance mutex excludes this view's
+    // refresh, the only thing that write-locks them.
     let (del_bag, ins_bag) =
-        eval_variant_bound(catalog, &variant, &program.active_log_tables(mask))?;
+        eval_variant_bound(catalog, &variant, &program.active_log_tables(mask), None)?;
     program.record_bind();
 
     // Fold ▼/▲ into the differential tables (Lemma 3) and strongify if the

@@ -92,27 +92,32 @@ pub(crate) fn eval_pair_overlay(
     Ok(eval_plan_pair(&dq.plan, &iq.plan, &shared, &src)?)
 }
 
-/// Execute a precompiled delta-plan variant: snapshot the active log
-/// tables as parameter bags, pin the remaining (base) tables the stored
-/// plans scan, and evaluate both plans against the bound source as one
-/// program (subplans they share run once). This is the whole steady-state
-/// propagate front half — no differentiation, no simplification, no plan
-/// construction. The snapshot+pin is recorded as the `BindParams` phase;
-/// the evaluations profile themselves.
+/// Execute a precompiled delta-plan variant: snapshot those of the active
+/// log tables the stored plans scan as parameter bags, pin every other
+/// table they scan, and evaluate both plans against the bound source as
+/// one program (subplans they share run once). This is the whole
+/// steady-state propagate front half — no differentiation, no
+/// simplification, no plan construction. `lent` is a table whose lock the
+/// caller already holds (`refresh_BL` evaluates under the `MV` write
+/// lock): its bag is bound by reference, never pinned, never copied. The
+/// snapshot+pin is recorded as the `BindParams` phase; the evaluations
+/// profile themselves.
 pub(crate) fn eval_variant_bound(
     catalog: &Catalog,
     variant: &CompiledDeltaVariant,
     param_tables: &[&str],
+    lent: Option<(&str, &Bag)>,
 ) -> Result<(Bag, Bag)> {
     let t = phase_start();
-    let mut params = HashMap::with_capacity(param_tables.len());
-    for name in param_tables {
-        params.insert((*name).to_string(), catalog.bag_of(name)?);
-    }
     let mut tables = variant.del.plan.tables();
     tables.extend(variant.ins.plan.tables());
-    let src = ParamSource::pin(catalog, &tables, &params)?;
-    phase_end("BindParams", params.values().map(Bag::len).sum(), t);
+    let mut logs = Vec::with_capacity(param_tables.len());
+    for name in param_tables.iter().filter(|t| tables.contains(**t)) {
+        logs.push((*name, catalog.bag_of(name)?));
+    }
+    let params = logs.iter().map(|(n, b)| (*n, b)).chain(lent);
+    let src = ParamSource::pin(catalog, &tables, params)?;
+    phase_end("BindParams", logs.iter().map(|(_, b)| b.len()).sum(), t);
     Ok(eval_plan_pair(
         &variant.del.plan,
         &variant.ins.plan,

@@ -166,8 +166,10 @@ impl View {
     /// The view's compiled delta program: precompiled `▼(L,Q)/▲(L,Q)`
     /// plan pairs keyed by log-activity mask, so steady-state propagate
     /// binds parameters into a stored plan instead of re-deriving change
-    /// queries. Compiled on first call (against `provider`, which must
-    /// resolve the view's base *and* log tables) and cached until
+    /// queries. A root-`γ` view's program is compiled against
+    /// [`materialized_past`](Self::materialized_past) and scans no log
+    /// table at all. Compiled on first call (against `provider`, which must
+    /// resolve the view's base, log and own tables) and cached until
     /// [`View::invalidate_delta_program`]. Errors with `WrongScenario`
     /// when the scenario keeps no log.
     pub fn delta_program(
@@ -182,9 +184,10 @@ impl View {
         if let Some(p) = guard.as_ref() {
             return Ok(Arc::clone(p));
         }
-        let p = Arc::new(CompiledDeltaProgram::compile(
+        let p = Arc::new(CompiledDeltaProgram::compile_with_past(
             &self.definition,
             log,
+            self.materialized_past(),
             provider,
         )?);
         *guard = Some(Arc::clone(&p));
@@ -282,6 +285,23 @@ impl View {
             Some(log) => log.past_subst().apply(&self.definition),
             None => self.definition.clone(),
         }
+    }
+
+    /// `PAST(L,Q)` read off the view's own tables instead of base and log —
+    /// `MV` under `INV_BL`, `(MV ∸ ∇MV) ⊎ ΔMV` under `INV_C` — for a view
+    /// whose root is `γ`, where the change queries would otherwise rebuild
+    /// it from twice the base on every call. What the delta program is
+    /// compiled against; sound only while the invariant holds, which is why
+    /// the checkers keep using [`past_query`](Self::past_query).
+    pub fn materialized_past(&self) -> Option<Expr> {
+        if self.log.is_none() || !matches!(self.definition, Expr::GroupAggregate { .. }) {
+            return None;
+        }
+        let mv = Expr::table(self.mv_table.clone());
+        Some(match self.diff_tables() {
+            Some((del, ins)) => mv.monus(Expr::table(del)).union(Expr::table(ins)),
+            None => mv,
+        })
     }
 
     /// Names of every auxiliary (internal) table this view owns, MV first.
@@ -408,6 +428,31 @@ mod tests {
         assert_eq!(rebuilt.stats().binds, 0, "counters restart");
         // Scenarios without a log have no program to compile.
         assert!(make(Scenario::Immediate).delta_program(&p).is_err());
+    }
+
+    #[test]
+    fn materialized_past_is_the_invariants_left_side_for_root_aggregates_only() {
+        use dvm_algebra::{AggCall, ColRef};
+        let agg = |scenario| {
+            let def = Expr::table("r")
+                .group_aggregate(vec![ColRef::new("a")], vec![AggCall::count_star()]);
+            let compiled = compile(&def, &provider()).unwrap();
+            View::new("v", def, compiled, scenario, Minimality::Weak).unwrap()
+        };
+        let mv = || Expr::table("__mv_v");
+        assert_eq!(agg(Scenario::BaseLog).materialized_past(), Some(mv()));
+        assert_eq!(
+            agg(Scenario::Combined).materialized_past(),
+            Some(
+                mv().monus(Expr::table("__v_dt_del"))
+                    .union(Expr::table("__v_dt_ins"))
+            )
+        );
+        // No log to maintain from, or no γ at the root: the rule table
+        // of Figure 2 stays in charge.
+        assert_eq!(agg(Scenario::DiffTable).materialized_past(), None);
+        assert_eq!(agg(Scenario::Immediate).materialized_past(), None);
+        assert_eq!(make(Scenario::Combined).materialized_past(), None);
     }
 
     #[test]

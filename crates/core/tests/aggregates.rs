@@ -174,3 +174,212 @@ fn incremental_aggregate_propagate_matches_full_recompute() {
         );
     }
 }
+
+mod common;
+
+/// [`random_tx`], except that a third of the touched tables lose *every*
+/// row (the commit path's weak-minimality pass caps the deletion at the
+/// table's contents): whole groups vanish, and the inserts — keys from a
+/// domain of four — bring some back a step or two later (the directed
+/// test below pins that sequence).
+fn churn_tx(u: &Universe, rng: &mut Rng, db: &Database) -> Transaction {
+    let mut tx = random_tx(u, rng, db);
+    let touched: Vec<String> = tx.tables().cloned().collect();
+    for t in touched {
+        if rng.chance(1, 3) {
+            tx = tx.delete(t.clone(), db.catalog().bag_of(&t).unwrap());
+        }
+    }
+    tx
+}
+
+/// Root-γ views are maintained from their own rows: the stored program
+/// reads `PAST(L,Q)` off `MV` (`INV_BL`) or `(MV ∸ ∇MV) ⊎ ΔMV` (`INV_C`)
+/// instead of rebuilding it from base and log. Three-way differential —
+/// bound program ≡ from-base change queries ≡ recompute diff
+/// ([`common::three_way`]) — after every transaction and every maintenance
+/// step, under BaseLog, Combined (weak and strong minimality, with
+/// `partial_refresh` interleaved between propagates so `∇MV`/`ΔMV` are
+/// non-empty when the past is read) and on a shared-log view; NULL keys,
+/// NULL arguments and all five aggregate functions come with
+/// `Universe::mixed` + `agg_expr`. 80 definitions × 4 transactions.
+#[test]
+fn bound_program_matches_from_base_deltas_and_recompute_diff() {
+    const VIEWS: [&str; 4] = ["v_bl", "v_c", "v_cs", "v_sh"];
+    let u = Universe::mixed(3);
+    let mut rng = Rng::new(0xA66_0021);
+    // (cases, programs run, run with ∇MV ⊎ ΔMV non-empty, skipped on an
+    // untouched view)
+    let (mut cases, mut ran, mut dt_nonempty, mut untouched) = (0, 0, 0, 0);
+    let mut attempts = 0;
+    while cases < 320 {
+        attempts += 1;
+        assert!(attempts < 2000, "generator starved");
+        let def = u.agg_expr(&mut rng, 2);
+        if def.to_string().contains("EXCEPT") {
+            continue;
+        }
+        let db = Database::new();
+        for t in &u.tables {
+            let table = db.create_table(t.clone(), u.schema.clone()).unwrap();
+            table.replace(u.bag(&mut rng, 5)).unwrap();
+        }
+        let created = [
+            db.create_view("v_bl", def.clone(), Scenario::BaseLog),
+            db.create_view("v_c", def.clone(), Scenario::Combined),
+            db.create_view_with("v_cs", def.clone(), Scenario::Combined, Minimality::Strong),
+            db.create_view_shared("v_sh", def.clone(), Minimality::Weak),
+        ];
+        if created.iter().any(|r| r.is_err()) {
+            continue;
+        }
+        let mut check = |db: &Database, ctx: &str| {
+            for v in VIEWS {
+                match common::three_way(db, v, &format!("{v} of {def}, {ctx}")) {
+                    Some(dt) => {
+                        ran += 1;
+                        dt_nonempty += usize::from(dt);
+                    }
+                    None => untouched += 1,
+                }
+            }
+        };
+        for step in 0..4 {
+            cases += 1;
+            let tx = churn_tx(&u, &mut rng, &db);
+            db.execute(&tx).unwrap();
+            check(&db, &format!("after tx {step}"));
+            match rng.below(8) {
+                0 => db.refresh("v_bl").unwrap(),
+                1 | 2 => {
+                    db.propagate("v_c").unwrap();
+                    db.propagate("v_cs").unwrap();
+                    db.propagate("v_sh").unwrap();
+                }
+                3 => {
+                    for v in ["v_c", "v_cs", "v_sh"] {
+                        db.propagate(v).unwrap();
+                        db.partial_refresh(v).unwrap();
+                    }
+                }
+                4 => db.partial_refresh("v_c").unwrap(),
+                _ => {}
+            }
+            check(&db, &format!("after maintenance {step}"));
+            assert_invariants(&db, &format!("{def}, step {step}"));
+        }
+        for v in VIEWS {
+            db.refresh(v).unwrap();
+            assert_eq!(
+                db.query_view(v).unwrap(),
+                db.recompute_view(v).unwrap(),
+                "{v} after final refresh of {def}"
+            );
+        }
+    }
+    // Non-vacuity: the program ran against non-empty differential tables,
+    // and views over unchanged tables were seen.
+    assert!(ran > 1000, "programs run: {ran}");
+    assert!(
+        dt_nonempty > 100,
+        "∇MV ⊎ ΔMV non-empty at bind time: {dt_nonempty}"
+    );
+    assert!(
+        untouched > 50,
+        "views whose tables did not change: {untouched}"
+    );
+}
+
+/// The directed companion of the random suite: groups — the NULL-key group
+/// and one whose only argument is NULL among them — vanish entirely, stay
+/// gone across a propagate and a partial refresh, and come back with
+/// different rows, under all five aggregate functions.
+#[test]
+fn groups_vanish_and_reappear_through_the_bound_program() {
+    use dvm_algebra::{AggCall, AggFunc, ColRef};
+    use dvm_storage::{Tuple, Value};
+    let row = |a: Option<i64>, b: Option<i64>| {
+        let v = |x: Option<i64>| x.map_or(Value::Null, Value::Int);
+        Tuple::new(vec![v(a), v(b)])
+    };
+    let u = Universe::mixed(1);
+    let db = Database::new();
+    let t0 = db.create_table("t0", u.schema.clone()).unwrap();
+    let start = [
+        row(Some(1), Some(2)),
+        row(Some(1), None),
+        row(None, Some(3)),
+        row(Some(2), None),
+        row(Some(3), Some(5)),
+    ];
+    for t in &start {
+        t0.insert(t.clone()).unwrap();
+    }
+    let b = || ColRef::new("b");
+    let def = Expr::table("t0").group_aggregate(
+        vec![ColRef::new("a")],
+        vec![
+            AggCall::count_star(),
+            AggCall::new(AggFunc::Count, b()),
+            AggCall::new(AggFunc::Sum, b()),
+            AggCall::new(AggFunc::Avg, b()),
+            AggCall::new(AggFunc::Min, b()),
+            AggCall::new(AggFunc::Max, b()),
+        ],
+    );
+    db.create_view("v_bl", def.clone(), Scenario::BaseLog)
+        .unwrap();
+    db.create_view("v_c", def.clone(), Scenario::Combined)
+        .unwrap();
+    db.create_view_with("v_cs", def.clone(), Scenario::Combined, Minimality::Strong)
+        .unwrap();
+    db.create_view_shared("v_sh", def, Minimality::Weak)
+        .unwrap();
+    let check = |ctx: &str| {
+        for v in ["v_bl", "v_c", "v_cs", "v_sh"] {
+            common::three_way(&db, v, &format!("{v} {ctx}"));
+        }
+        assert_invariants(&db, ctx);
+    };
+    let combined = ["v_c", "v_cs", "v_sh"];
+
+    // Groups 1, NULL and 2 vanish; 3 stays.
+    let mut gone = Transaction::new();
+    for t in &start[..4] {
+        gone = gone.delete_tuple("t0", t.clone());
+    }
+    db.execute(&gone).unwrap();
+    check("groups gone");
+    for v in combined {
+        db.propagate(v).unwrap();
+    }
+    check("gone, propagated");
+    assert_eq!(db.read_through("v_c").unwrap().len(), 1);
+    for v in combined {
+        db.partial_refresh(v).unwrap();
+    }
+    assert_eq!(
+        db.query_view("v_c").unwrap().len(),
+        1,
+        "three groups retired"
+    );
+    // They come back — with ∇MV/ΔMV of the unrefreshed views still full.
+    db.execute(
+        &Transaction::new()
+            .insert_tuple("t0", row(Some(1), None))
+            .insert_tuple("t0", row(None, None))
+            .insert_tuple("t0", row(Some(2), Some(9))),
+    )
+    .unwrap();
+    check("groups back");
+    for v in combined {
+        db.propagate(v).unwrap();
+    }
+    check("back, propagated");
+    for v in ["v_bl", "v_c", "v_cs", "v_sh"] {
+        db.refresh(v).unwrap();
+        let mv = db.query_view(v).unwrap();
+        assert_eq!(mv, db.recompute_view(v).unwrap(), "{v}");
+        assert_eq!(mv.len(), 4, "{v}: groups 1, 2, 3 and NULL");
+    }
+}

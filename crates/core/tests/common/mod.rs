@@ -1,0 +1,81 @@
+//! The three-way differential check for a root-`γ` view's bound delta
+//! program, shared by `aggregates.rs` and `recovery.rs`.
+
+use dvm_algebra::eval::{eval_pair, PinnedState};
+use dvm_core::Database;
+use dvm_delta::post_update_deltas;
+
+/// Compare, in the database's current state, the three derivations of
+/// `(▼(L,Q), ▲(L,Q))` for root-`γ` view `name`:
+///
+/// 1. the stored program's plans, which read `PAST(L,Q)` off the view's
+///    own `MV`/`∇MV`/`ΔMV` — evaluated exactly as maintenance would;
+/// 2. `post_update_deltas`, differentiated per call and evaluated from
+///    base and log tables (the monus rule of `weak.rs`);
+/// 3. the diff of two recomputes, `PAST(L,Q) ∸ Q` and `Q ∸ PAST(L,Q)`,
+///    with both sides evaluated from base and log.
+///
+/// A shared-log view's private log tables are only a staging area, so for
+/// it legs 2 and 3 take the past from the from-base invariant checker
+/// instead (which composes the un-drained shared suffix in): the checker
+/// must pass, and the past is then the value it just vouched for.
+///
+/// Returns `None` when the view's log is empty (the program would not run;
+/// the other two legs must then be `φ`), else whether `∇MV ⊎ ΔMV` was
+/// non-empty when the program read it.
+pub fn three_way(db: &Database, name: &str, ctx: &str) -> Option<bool> {
+    let view = db.view(name).unwrap();
+    let catalog = db.catalog();
+    let rows = |t: &str| catalog.require(t).unwrap().len();
+    let shared = db.is_shared_log_view(name);
+
+    let q = db.recompute_view(name).unwrap();
+    let past = if shared {
+        let report = db.check_invariant(name).unwrap();
+        assert!(report.ok(), "{ctx}: {report}");
+        let mut p = db.query_view(name).unwrap();
+        let (d, i) = view.diff_tables().unwrap();
+        p.apply_delta(&catalog.bag_of(d).unwrap(), &catalog.bag_of(i).unwrap());
+        p
+    } else {
+        db.eval(&view.past_query()).unwrap()
+    };
+    let want = (past.monus(&q), q.monus(&past));
+    if !shared {
+        let d = post_update_deltas(view.definition(), view.log().unwrap(), catalog).unwrap();
+        let from_base = (db.eval(&d.del).unwrap(), db.eval(&d.ins).unwrap());
+        assert_eq!(from_base, want, "{ctx}: from-base ▼/▲ vs recompute diff");
+    }
+
+    let program = view.delta_program(catalog).unwrap();
+    let mask = if shared {
+        program.all_active_mask()
+    } else {
+        program.activity_mask(&|t| rows(t) == 0)
+    };
+    if mask == 0 {
+        assert!(
+            want.0.is_empty() && want.1.is_empty(),
+            "{ctx}: empty log, non-empty change"
+        );
+        return None;
+    }
+    let (variant, _) = program.variant(mask, catalog).unwrap();
+    let mut tables = variant.del.plan.tables();
+    tables.extend(variant.ins.plan.tables());
+    assert!(
+        tables.iter().all(|t| !t.contains("_log_")),
+        "{ctx}: the bound program scans a log table: {tables:?}"
+    );
+    let pinned = PinnedState::pin(catalog, &tables).unwrap();
+    let bound = eval_pair(
+        &variant.del.plan,
+        &variant.ins.plan,
+        &variant.shared,
+        &pinned,
+    )
+    .unwrap();
+    assert_eq!(bound, want, "{ctx}: bound ▼/▲ vs recompute diff");
+    let dt = view.diff_tables();
+    Some(dt.is_some_and(|(d, i)| rows(d) + rows(i) > 0))
+}

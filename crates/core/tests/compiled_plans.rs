@@ -139,9 +139,10 @@ fn steady_state_propagate_does_zero_symbolic_work() {
 /// dvmbench's `bulk_refresh` in small: one transaction changes `sales`
 /// *and* `customer`, so every log of the join view `v` and of the
 /// aggregate view `v_agg` is active and no join side is a cacheable base
-/// build. Read off the profile trees, not a clock: `▼`/`▲` of `v_agg`
-/// share `G(E)` and `G(η(E))` (two aggregations, not four), and `v` builds
-/// its joins on the log sides (at most twice the logged rows, never a
+/// build. Read off the profile trees, not a clock: `v_agg` aggregates
+/// once — `G(E)`; the past `G(η(E))` is its own rows, never a log scan —
+/// under `propagate_C` and under `refresh_BL` alike, and `v` builds its
+/// joins on the log sides (at most twice the logged rows, never a
 /// survivor of `sales`). Part of the one flag-dependent test body.
 fn propagate_work_follows_the_change_on_the_bulk_shape() {
     use dvm_algebra::{lit_str, AggCall, AggFunc, ColRef};
@@ -178,7 +179,25 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
         vec![AggCall::new(AggFunc::Sum, ColRef::new("quantity"))],
     );
     db.create_view("v", v, Scenario::Combined).unwrap();
-    db.create_view("v_agg", v_agg, Scenario::Combined).unwrap();
+    db.create_view("v_agg", v_agg.clone(), Scenario::Combined)
+        .unwrap();
+    db.create_view("v_agg_bl", v_agg, Scenario::BaseLog)
+        .unwrap();
+
+    // A first cycle leaves ∇MV/ΔMV of `v_agg` non-empty: the past the
+    // second propagate reads is all three of its tables.
+    let mut warm = Transaction::new();
+    for s in 100..130i64 {
+        warm = warm.delete_tuple("sales", tuple![s % 100, s]);
+    }
+    db.execute(&warm).unwrap();
+    db.propagate("v").unwrap();
+    db.propagate("v_agg").unwrap();
+    let past_rows: u64 = ["__mv_v_agg", "__v_agg_dt_del", "__v_agg_dt_ins"]
+        .iter()
+        .map(|t| db.catalog().require(t).unwrap().len())
+        .sum();
+    assert!(past_rows > 100, "∇MV ⊎ ΔMV non-empty at bind time");
 
     let mut tx = Transaction::new();
     for s in 0..60i64 {
@@ -202,14 +221,12 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
     db.set_profiling(true);
     db.propagate("v").unwrap();
     db.propagate("v_agg").unwrap();
+    db.refresh("v_agg_bl").unwrap();
     let report = db.profile_report();
     db.set_profiling(false);
     let trees = |view: &str| -> Vec<dvm_obs::OpProf> {
-        let op = report
-            .ops
-            .iter()
-            .find(|o| o.view == view && o.op == "propagate");
-        op.expect("propagate profiled").evals.clone()
+        let op = report.ops.iter().find(|o| o.view == view);
+        op.expect("maintenance profiled").evals.clone()
     };
     let count = |trees: &[dvm_obs::OpProf], label: &str| {
         let nodes = trees.iter().flat_map(|t| t.nodes());
@@ -217,13 +234,49 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
         (found.len(), found.iter().map(|n| n.rows_out).sum::<u64>())
     };
 
-    let agg = trees("v_agg");
-    assert_eq!(
-        count(&agg, "GroupAggregate").0,
-        2,
-        "G(E) and G(η(E)), once each"
-    );
-    assert_eq!(count(&agg, "GroupAggregate (shared)").0, 2, "▲ reuses both");
+    for view in ["v_agg", "v_agg_bl"] {
+        let agg = trees(view);
+        assert_eq!(count(&agg, "GroupAggregate").0, 1, "{view}: G(E), once");
+        assert_eq!(
+            count(&agg, "GroupAggregate (shared)").0,
+            1,
+            "{view}: ▲ reuses it"
+        );
+        let labels: Vec<&str> = agg
+            .iter()
+            .flat_map(|t| t.nodes())
+            .map(|n| n.label.as_str())
+            .collect();
+        assert!(
+            !labels.iter().any(|l| l.contains("_log_")),
+            "{view} scanned a log table: {labels:?}"
+        );
+        assert_eq!(count(&agg, "BindParams").1, 0, "{view}: no log bag copied");
+    }
+    // The P side of each `v_agg` change query — every scan but the one
+    // under γ — is fed by the view's own three tables, each read at most
+    // once per plan: |MV| + |∇MV| + |ΔMV| rows, whatever `sales` holds.
+    let own = [
+        "Scan __mv_v_agg",
+        "Scan __v_agg_dt_del",
+        "Scan __v_agg_dt_ins",
+    ];
+    for tree in trees("v_agg")
+        .iter()
+        .filter(|t| t.label.starts_with("Monus"))
+    {
+        let nodes = tree.nodes();
+        let scans = nodes.iter().filter(|n| n.label.starts_with("Scan "));
+        let (base, p_side): (Vec<&dvm_obs::OpProf>, Vec<&dvm_obs::OpProf>) =
+            scans.partition(|n| n.label == "Scan sales");
+        assert!(base.len() <= 1, "one pass over sales");
+        assert!(p_side.iter().all(|n| own.contains(&n.label.as_str())));
+        let p_rows: u64 = p_side.iter().map(|n| n.rows_out).sum();
+        assert!(
+            p_rows > 0 && p_rows <= past_rows,
+            "P read {p_rows} rows, {past_rows} are materialized"
+        );
+    }
     let join = trees("v");
     let (builds, built_rows) = count(&join, "JoinBuild");
     assert!(
@@ -235,7 +288,7 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
         "join builds hold {built_rows} rows for {logged} logged: a survivor was built"
     );
 
-    for view in ["v", "v_agg"] {
+    for view in ["v", "v_agg", "v_agg_bl"] {
         db.refresh(view).unwrap();
         assert_eq!(
             db.query_view(view).unwrap(),

@@ -691,3 +691,170 @@ fn group_commit_crash_matrix_recovers_batch_prefix() {
     }
     let _ = std::fs::remove_dir_all(&base);
 }
+
+mod common;
+
+/// One logged step of [`bound_program_is_rebuilt_against_the_recovered_view`]:
+/// each appends exactly one WAL record, so a recovered database is the
+/// twin that ran a prefix.
+enum Step {
+    Table(&'static str),
+    View(&'static str, Expr, Scenario, Minimality),
+    Tx(Transaction),
+    Propagate,
+    PartialRefresh,
+    RefreshBl,
+}
+
+impl Step {
+    fn run(&self, db: &Database) {
+        match self {
+            Step::Table(t) => drop(db.create_table(*t, schema_ab()).unwrap()),
+            Step::View(v, def, scenario, minimality) => db
+                .create_view_with(*v, def.clone(), *scenario, *minimality)
+                .unwrap(),
+            Step::Tx(tx) => drop(db.execute(tx).unwrap()),
+            Step::Propagate => db.propagate("v_c").unwrap(),
+            Step::PartialRefresh => db.partial_refresh("v_c").unwrap(),
+            Step::RefreshBl => db.refresh("v_bl").unwrap(),
+        }
+    }
+}
+
+/// A root-γ view's delta program reads `PAST(L,Q)` off the view's own
+/// tables, so what it is compiled against after a crash is the *recovered*
+/// `MV`/`∇MV`/`ΔMV`. Random root-γ definitions (NULL keys and arguments),
+/// a checkpoint taken with propagated-but-unapplied work in `∇MV`/`ΔMV`,
+/// a WAL tail of transactions cut at and inside its last frames: the
+/// recovered views carry no program until first use, the lazily compiled
+/// one passes the three-way differential ([`common::three_way`]) before
+/// and after a propagate, and maintenance through it lands on the twin.
+#[test]
+fn bound_program_is_rebuilt_against_the_recovered_view() {
+    use dvm_algebra::testgen::{Rng, Universe};
+    let u = Universe::mixed(2);
+    let mut rng = Rng::new(0xA66_0021);
+    let (mut cases, mut dt_nonempty, mut attempts) = (0, 0, 0);
+    while cases < 40 {
+        attempts += 1;
+        assert!(attempts < 400, "generator starved");
+        let def = u.agg_expr(&mut rng, 1);
+        if def.to_string().contains("EXCEPT") {
+            continue;
+        }
+        // Script the workload against an in-memory database (deletions
+        // are drawn from its current contents).
+        let mem = Database::new();
+        let minimality = *rng.choice(&[Minimality::Weak, Minimality::Strong]);
+        let mut steps = vec![
+            Step::Table("t0"),
+            Step::Table("t1"),
+            Step::Tx(
+                Transaction::new()
+                    .insert("t0", u.bag(&mut rng, 5))
+                    .insert("t1", u.bag(&mut rng, 5))
+                    .insert_tuple("t0", tuple![1, 1]),
+            ),
+            Step::View("v_bl", def.clone(), Scenario::BaseLog, Minimality::Weak),
+            Step::View("v_c", def.clone(), Scenario::Combined, minimality),
+        ];
+        steps.iter().for_each(|s| s.run(&mem));
+        let random_tx = |rng: &mut Rng, mem: &Database| {
+            let mut tx = Transaction::new().insert_tuple("t0", tuple![rng.range(0, 4), 2]);
+            for t in ["t0", "t1"] {
+                let mut del = dvm_storage::Bag::new();
+                for (tuple, mult) in mem.catalog().bag_of(t).unwrap().iter() {
+                    if rng.chance(1, 3) {
+                        del.insert_n(tuple.clone(), 1 + rng.below(mult));
+                    }
+                }
+                tx = tx.delete(t, del).insert(t, u.bag(rng, 2));
+            }
+            tx
+        };
+        for _ in 0..6 {
+            let step = match rng.below(6) {
+                0..=2 => Step::Tx(random_tx(&mut rng, &mem)),
+                3 => Step::Propagate,
+                4 => Step::PartialRefresh,
+                _ => Step::RefreshBl,
+            };
+            step.run(&mem);
+            steps.push(step);
+        }
+        // Checkpoint with propagated work pending, then a transaction-only
+        // tail: replay runs no maintenance, so nothing compiles a program.
+        steps.push(Step::Tx(random_tx(&mut rng, &mem)));
+        steps.last().unwrap().run(&mem);
+        steps.push(Step::Propagate);
+        let ckpt_at = steps.len();
+        steps.last().unwrap().run(&mem);
+        for _ in 0..2 {
+            steps.push(Step::Tx(random_tx(&mut rng, &mem)));
+            steps.last().unwrap().run(&mem);
+        }
+
+        let base = tmpdir(&format!("bound-{cases}"));
+        let db = Database::open_with_options(&base, wal_off()).unwrap();
+        steps[..ckpt_at].iter().for_each(|s| s.run(&db));
+        assert_eq!(
+            db.checkpoint().unwrap(),
+            ckpt_at as u64,
+            "one record per step"
+        );
+        steps[ckpt_at..].iter().for_each(|s| s.run(&db));
+        drop(db);
+        let tail = CrashFs::tail_segment(&base).unwrap().unwrap();
+        let bounds = CrashFs::frame_boundaries(&tail).unwrap();
+        assert_eq!(bounds.len(), steps.len() + 1);
+
+        // Crash after the last frame, and inside it.
+        for (cut, expect) in [
+            (bounds[steps.len()], steps.len()),
+            (bounds[steps.len()] - 2, steps.len() - 1),
+        ] {
+            cases += 1;
+            let ctx = format!("{def}, {expect} of {} steps survive", steps.len());
+            let clone = tmpdir(&format!("bound-{cases}-crash"));
+            CrashFs::clone_dir(&base, &clone).unwrap();
+            CrashFs::truncate_wal_tail(&clone, cut).unwrap();
+            let recovered = Database::open_with_options(&clone, wal_off()).unwrap();
+            let report = recovered.recovery_report().unwrap();
+            assert_eq!(report.checkpoint_lsn, ckpt_at as u64, "{ctx}");
+            assert_eq!(
+                report.wal_records_replayed,
+                (expect - ckpt_at) as u64,
+                "{ctx}"
+            );
+            let twin = Database::new();
+            steps[..expect].iter().for_each(|s| s.run(&twin));
+
+            for v in ["v_bl", "v_c"] {
+                let view = recovered.view(v).unwrap();
+                assert!(view.delta_program_stats().is_none(), "{ctx}: {v} is lazy");
+                let dt = common::three_way(&recovered, v, &format!("{v} of {ctx}"));
+                dt_nonempty += usize::from(dt == Some(true));
+                assert!(view.delta_program_stats().is_some(), "{ctx}: {v} compiled");
+            }
+            for db in [&recovered, &twin] {
+                db.propagate("v_c").unwrap();
+            }
+            common::three_way(&recovered, "v_c", &format!("v_c propagated, {ctx}"));
+            assert_equiv(&recovered, &twin, &ctx);
+            for db in [&recovered, &twin] {
+                db.refresh_all().unwrap();
+            }
+            for v in ["v_bl", "v_c"] {
+                let mv = recovered.query_view(v).unwrap();
+                assert_eq!(mv, twin.query_view(v).unwrap(), "{ctx}: {v}");
+                assert_eq!(mv, recovered.recompute_view(v).unwrap(), "{ctx}: {v}");
+            }
+            let _ = std::fs::remove_dir_all(&clone);
+        }
+        let _ = std::fs::remove_dir_all(&base);
+    }
+    assert!(
+        dt_nonempty >= 10,
+        "∇MV ⊎ ΔMV non-empty at bind time: {dt_nonempty}"
+    );
+}

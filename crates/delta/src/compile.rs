@@ -19,6 +19,12 @@
 //! every log table active — always *sound*, because substituting a log
 //! table whose current contents are empty only loses pruning, never
 //! changes the value of the change queries.
+//!
+//! A view whose invariant already materializes `P = PAST(L,Q)` — `MV`
+//! under `INV_BL`, `(MV ∸ ∇MV) ⊎ ΔMV` under `INV_C` — can hand that
+//! expression in ([`CompiledDeltaProgram::compile_bound`]). The program is
+//! then the exact pair `▼ = P ∸ Q`, `▲ = Q ∸ P`: nothing is differentiated,
+//! no log table is scanned, and one variant serves every non-zero mask.
 
 use crate::error::Result;
 use crate::incremental::LogTables;
@@ -80,6 +86,9 @@ struct LogEntry {
 #[derive(Debug)]
 pub struct CompiledDeltaProgram {
     definition: Expr,
+    /// `PAST(L,Q)` over tables the caller's invariant keeps materialized,
+    /// when it handed one in; `None` derives the past from base and log.
+    past: Option<Expr>,
     /// Logged bases in sorted order — entry `i` owns mask bits `2i`
     /// (deletion log non-empty) and `2i+1` (insertion log non-empty).
     entries: Vec<LogEntry>,
@@ -104,6 +113,22 @@ impl CompiledDeltaProgram {
         log: &LogTables,
         provider: &dyn SchemaProvider,
     ) -> Result<Self> {
+        Self::compile_with_past(definition, log, None, provider)
+    }
+
+    /// As [`compile`](Self::compile), for a caller that may hold the past
+    /// value materialized: `past`, when given, must evaluate to `PAST(L,Q)`
+    /// whenever the program runs. The change queries are then
+    /// `▼ = past ∸ Q` and `▲ = Q ∸ past` — Theorem 2 holds for them
+    /// pointwise, `(P ∸ (P ∸ Q)) ⊎ (Q ∸ P) = Q` and `P ∸ Q ⊑ P` — at the
+    /// cost of one evaluation of `Q`, which is what the monus rule of a
+    /// root `γ` pays *besides* rebuilding `P` from base and log.
+    pub fn compile_with_past(
+        definition: &Expr,
+        log: &LogTables,
+        past: Option<Expr>,
+        provider: &dyn SchemaProvider,
+    ) -> Result<Self> {
         let entries = log
             .bases()
             .map(|base| {
@@ -117,6 +142,7 @@ impl CompiledDeltaProgram {
             .collect();
         let program = CompiledDeltaProgram {
             definition: definition.clone(),
+            past,
             entries,
             variants: Mutex::new(BTreeMap::new()),
             compiles: AtomicU64::new(0),
@@ -196,6 +222,12 @@ impl CompiledDeltaProgram {
         mask: u128,
         provider: &dyn SchemaProvider,
     ) -> Result<(Arc<CompiledDeltaVariant>, bool)> {
+        // A bound program scans no log table: one variant serves them all.
+        let mask = if self.past.is_some() && mask != 0 {
+            self.all_active_mask()
+        } else {
+            mask
+        };
         if let Some(v) = self.variants.lock().get(&mask) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(v), false));
@@ -232,7 +264,8 @@ impl CompiledDeltaProgram {
         }
     }
 
-    /// Derive + compile the variant for `mask` and cache it. Mirrors
+    /// Derive + compile the variant for `mask` and cache it. Without a
+    /// bound past this mirrors
     /// [`post_update_deltas_pruned`](crate::post_update_deltas_pruned):
     /// inactive log tables enter the substitution as `φ` literals (so
     /// φ-propagation prunes their terms at compile time) and wholly
@@ -242,32 +275,42 @@ impl CompiledDeltaProgram {
         mask: u128,
         provider: &dyn SchemaProvider,
     ) -> Result<Arc<CompiledDeltaVariant>> {
-        let mut l_hat = FactoredSubstitution::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            let del_active = Self::bit_active(mask, 2 * i);
-            let ins_active = Self::bit_active(mask, 2 * i + 1);
-            if !del_active && !ins_active {
-                continue;
+        let (del, ins) = match &self.past {
+            Some(past) => {
+                let q = &self.definition;
+                (past.clone().monus(q.clone()), q.clone().monus(past.clone()))
             }
-            let schema = provider.schema_of(&e.base)?;
-            // `L̂`: `R ↦ (R ∸ ▲R) ⊎ ▼R` — the factored D is the insertion
-            // log and A the deletion log (reconstructing the past).
-            let d = if ins_active {
-                Expr::table(e.ins_table.clone())
-            } else {
-                Expr::empty(schema.clone())
-            };
-            let a = if del_active {
-                Expr::table(e.del_table.clone())
-            } else {
-                Expr::empty(schema.clone())
-            };
-            l_hat.set(e.base.clone(), d, a);
-        }
-        let pair = differentiate(&self.definition, &l_hat, provider)?;
-        // Post-update role swap: ▼ = Add(L̂,Q), ▲ = Del(L̂,Q).
-        let expr_size = pair.del.size() + pair.add.size();
-        let (del, ins) = (compile(&pair.add, provider)?, compile(&pair.del, provider)?);
+            None => {
+                let mut l_hat = FactoredSubstitution::new();
+                for (i, e) in self.entries.iter().enumerate() {
+                    let del_active = Self::bit_active(mask, 2 * i);
+                    let ins_active = Self::bit_active(mask, 2 * i + 1);
+                    if !del_active && !ins_active {
+                        continue;
+                    }
+                    let schema = provider.schema_of(&e.base)?;
+                    // `L̂`: `R ↦ (R ∸ ▲R) ⊎ ▼R` — the factored D is the
+                    // insertion log and A the deletion log (reconstructing
+                    // the past).
+                    let d = if ins_active {
+                        Expr::table(e.ins_table.clone())
+                    } else {
+                        Expr::empty(schema.clone())
+                    };
+                    let a = if del_active {
+                        Expr::table(e.del_table.clone())
+                    } else {
+                        Expr::empty(schema.clone())
+                    };
+                    l_hat.set(e.base.clone(), d, a);
+                }
+                let pair = differentiate(&self.definition, &l_hat, provider)?;
+                // Post-update role swap: ▼ = Add(L̂,Q), ▲ = Del(L̂,Q).
+                (pair.add, pair.del)
+            }
+        };
+        let expr_size = del.size() + ins.size();
+        let (del, ins) = (compile(&del, provider)?, compile(&ins, provider)?);
         let variant = Arc::new(CompiledDeltaVariant {
             mask,
             shared: SharedPlans::of(&del.plan, &ins.plan),
@@ -390,6 +433,41 @@ mod tests {
             assert_eq!(eval(&v.del.plan, &state).unwrap(), ev(&fresh.del), "▼ for {q}");
             assert_eq!(eval(&v.ins.plan, &state).unwrap(), ev(&fresh.ins), "▲ for {q}");
         }
+    }
+
+    #[test]
+    fn bound_past_is_one_log_free_variant_for_every_mask() {
+        use dvm_algebra::{AggCall, ColRef};
+        let u = Universe::small(2);
+        let mut provider = provider_with_logs(&u);
+        let q = Expr::table("t0")
+            .union(Expr::table("t1"))
+            .group_aggregate(vec![ColRef::new("a")], vec![AggCall::count_star()]);
+        let q_plan = compile(&q, &provider).unwrap();
+        provider.insert("mv".into(), q_plan.schema.clone());
+        let mut state = u.state(&mut Rng::new(3), 4);
+        let log = empty_logs(&u, &mut state);
+        // `mv` holds the past value; then t0 gains a row in a new group.
+        let past = eval(&q_plan.plan, &state).unwrap();
+        state.insert("mv".into(), past.clone());
+        state.get_mut("t0").unwrap().insert(tuple![9, 9]);
+        state.insert(log_ins_name("t0"), Bag::singleton(tuple![9, 9]));
+        let now = eval(&q_plan.plan, &state).unwrap();
+
+        let mv = Some(Expr::table("mv"));
+        let p = CompiledDeltaProgram::compile_with_past(&q, &log, mv, &provider).unwrap();
+        let (v, fresh) = p.variant(0b10, &provider).unwrap();
+        assert!(!fresh, "the eager variant serves the insert-only mask");
+        let (full, _) = p.variant(p.all_active_mask(), &provider).unwrap();
+        assert!(Arc::ptr_eq(&v, &full));
+        assert_eq!(p.stats().variants, 1);
+        let mut tables = v.del.plan.tables();
+        tables.extend(v.ins.plan.tables());
+        let names: Vec<&str> = tables.iter().map(String::as_str).collect();
+        assert_eq!(names, ["mv", "t0", "t1"], "no log table is scanned");
+        assert_eq!(eval(&v.del.plan, &state).unwrap(), past.monus(&now));
+        assert_eq!(eval(&v.ins.plan, &state).unwrap(), now.monus(&past));
+        assert_eq!(now.monus(&past).len(), 1);
     }
 
     #[test]

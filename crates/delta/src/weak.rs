@@ -199,11 +199,17 @@ fn del_add(
         // (Q ∸ (Q ∸ P)) ⊎ (P ∸ Q) = P pointwise, and (Q ∸ P) ⊑ Q.
         // When no table under the aggregate changed, both deltas are φ —
         // the guard keeps identity substitutions fully incremental. For a
-        // changed aggregate these change queries *are* the engine's path,
-        // and they cost O(|E|): `G(E)` and `G(η(E))` each once per
-        // maintenance call (the evaluator shares them between Del and
-        // Add). The count-annotated `GroupAggregateState`, which would be
-        // O(|Δ|), is run by nothing but the `exp_agg` experiment.
+        // changed aggregate the rule costs O(|E|): `G(E)` and `G(η(E))`
+        // each once per maintenance call (the evaluator shares them
+        // between Del and Add). It is the engine's path where nothing
+        // holds `P` materialized: γ below a join/σ/Π, and the pre-update
+        // `T̂` direction (Immediate, DiffTable makesafe). A log-keeping
+        // view whose *root* is γ never reaches it — its invariant holds
+        // `P = PAST(L,Q)` as the view's own rows, and
+        // `CompiledDeltaProgram::compile_with_past` builds the same two
+        // monus queries over that. The count-annotated
+        // `GroupAggregateState`, which would be O(|Δ|), is run by nothing
+        // but the `exp_agg` experiment.
         Expr::GroupAggregate { .. } => {
             let tables = q.tables();
             if !eta.tables().any(|t| tables.contains(t)) {

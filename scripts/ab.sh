@@ -1,47 +1,67 @@
 #!/usr/bin/env bash
-# A/B dvmbench between a parent commit and this checkout, the way
-# benchmark/README.md prescribes: alternating pairs of deployed runs
-# (`--trace 0`), one seed per pair, medians per side and pairs won, each
-# end-to-end metric judged against its `bound` in BENCHMARK.json.
+# A/B dvmbench between a parent commit and this checkout, judged the way
+# the pipeline judges a PR (choosing-metrics §6 and §8): alternating pairs
+# of deployed runs (`--trace 0`), one seed per pair, each side's median
+# and quartiles, and per (workload, end-to-end metric) one of
 #
-#   scripts/ab.sh <parent-ref> [--pairs N] [--workload W]...
+#   ok          the change's median is no worse than the parent's by more
+#               than the metric's `bound` in BENCHMARK.json;
+#   WORSE       it is;
+#   UNRESOLVED  it is not, but the parent's own runs spread (q3 - q1) wider
+#               than the bound and some parent run reads better than some
+#               change run: the pairs cannot tell "unchanged" from "worse".
 #
-# Default: 3 pairs x the 4 workloads (~15 min). A claimed gain wants
-# `--pairs 10 --workload <the claimed one>`.
+#   scripts/ab.sh <parent> [--pairs N] [--workload W]... [--claim M@W]...
 #
-# The parent is checked out into a temporary `git worktree` and built into
-# a target directory of its own. Never share a target directory between
-# two source trees: when mtimes line up cargo links the other tree's stale
-# rlibs without a word, and both sides measure the same code.
+# `--claim metric@workload` states a gain: it holds only if the change
+# wins at least 9/10 of the pairs on that cell (a tie is not a win) and the
+# medians differ, in the better direction, by more than the distance
+# between the parent's quartiles. Default: 3 pairs x the 4 workloads
+# (~15 min); a claim wants `--pairs 10 --workload <the claimed one>`.
 #
-# Exits non-zero when an end-to-end metric's median is worse than the
-# parent's by more than its bound, or when any run fails or does not print
-# `correct true`. Minutes long - not part of scripts/ci.sh.
+# <parent> is a git ref, checked out into a temporary `git worktree`, or a
+# directory that already holds the parent's tree (a `git clone` at the
+# parent commit, for sessions that may not create worktrees). Either way
+# it is built into a target directory of its own. Never share a target
+# directory between two source trees: when mtimes line up cargo links the
+# other tree's stale rlibs without a word, and both sides measure the same
+# code.
+#
+# Exits non-zero on a WORSE row, a claim that does not hold, or a run that
+# fails or does not print `correct true`. UNRESOLVED rows are printed last.
+# Minutes long - not part of scripts/ci.sh.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage() { echo "usage: $0 <parent-ref> [--pairs N] [--workload W]..." >&2; exit 2; }
+usage() { echo "usage: $0 <parent-ref|parent-dir> [--pairs N] [--workload W]... [--claim metric@workload]..." >&2; exit 2; }
 [ $# -ge 1 ] || usage
 ref="$1"; shift
 pairs=3
 workloads=()
+claims=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="$2"; shift 2 ;;
         --workload) workloads+=("$2"); shift 2 ;;
+        --claim) claims+=("$2"); shift 2 ;;
         *) usage ;;
     esac
 done
 [ ${#workloads[@]} -gt 0 ] || workloads=(stream_sla ingest_sat bulk_refresh readers_fleet)
 
 tmp="$(mktemp -d)"
-parent="$tmp/parent"
-cleanup() {
-    git -C "$root" worktree remove --force "$parent" >/dev/null 2>&1 || true
-    rm -rf "$tmp"
-}
+if [ -d "$ref" ]; then
+    parent="$(cd "$ref" && pwd)"
+    cleanup() { rm -rf "$tmp"; }
+else
+    parent="$tmp/parent"
+    cleanup() {
+        git -C "$root" worktree remove --force "$parent" >/dev/null 2>&1 || true
+        rm -rf "$tmp"
+    }
+    git -C "$root" worktree add --detach "$parent" "$ref" >/dev/null
+fi
 trap cleanup EXIT
-git -C "$root" worktree add --detach "$parent" "$ref" >/dev/null
 echo "# parent $(git -C "$parent" rev-parse --short HEAD) vs change $(git -C "$root" rev-parse --short HEAD)+worktree, $pairs pairs x ${workloads[*]}"
 
 # side -> checkout and target directory (one per source tree).
@@ -80,35 +100,80 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-median() { sort -g | awk '{ v[NR] = $1 } END { if (!NR) exit; if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
-
 # Samples of one (workload, metric, side), in pair order.
 of() { awk -v w="$1" -v m="$2" -v s="$3" '$1 == w && $2 == m && $3 == s { print $4 }' "$samples"; }
 
-printf '\n%-14s %-18s %14s %14s %8s %8s %6s %6s  %s\n' workload metric parent change ratio worse bound wins verdict
+# One cell, judged: reads `parent change` sample pairs (pair order) and
+# prints `p_q1 p_med p_q3 c_q1 c_med c_q3 ratio worse% wins/pairs verdict
+# claim`, where claim is `held`/`FAILED` under --claim and `-` otherwise.
+judge() {                # better bound claimed(0|1)
+    awk -v better="$1" -v bound="$2" -v claimed="$3" '
+        function quantile(v, n, q,    h, lo) {   # linear interpolation between order statistics
+            h = (n - 1) * q + 1; lo = int(h)
+            return (lo >= n) ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+        }
+        function sorted(src, dst, n,    i, j, t) {
+            for (i = 1; i <= n; i++) dst[i] = src[i]
+            for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
+        }
+        { n++; p[n] = $1; c[n] = $2; if (better == "lower" ? $2 < $1 : $2 > $1) wins++ }
+        END {
+            sorted(p, ps, n); sorted(c, cs, n)
+            pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
+            p1 = quantile(ps, n, 0.25); p3 = quantile(ps, n, 0.75)
+            c1 = quantile(cs, n, 0.25); c3 = quantile(cs, n, 0.75)
+            gain = (better == "lower") ? pm - cm : cm - pm
+            worse = -gain / pm
+            # Every change run better than every parent run?
+            sweep = (better == "lower") ? cs[n] < ps[1] : cs[1] > ps[n]
+            verdict = "ok"
+            if (worse > bound) verdict = "WORSE"
+            else if ((p3 - p1) / pm > bound && !sweep) verdict = "UNRESOLVED"
+            claim = "-"
+            if (claimed) claim = (10 * wins >= 9 * n && gain > p3 - p1) ? "held" : "FAILED"
+            printf "%.6g %.6g %.6g %.6g %.6g %.6g %.3f %+.1f%% %d/%d %s %s\n", \
+                p1, pm, p3, c1, cm, c3, cm / pm, 100 * worse, wins, n, verdict, claim
+        }'
+}
+
+row='%-14s %-16s %11s %11s %11s %11s %11s %11s %7s %8s %5s %6s  %s\n'
 # BENCHMARK.json states one end-to-end metric per line: name, better, bound.
 sed -n '/"end_to_end"/,/\]/p' "$root/BENCHMARK.json" \
     | sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*"bound": *\([0-9.]*\).*/\1 \2 \3/p' >"$tmp/bounds"
+: >"$tmp/rows"; : >"$tmp/unresolved"; : >"$tmp/claims"
 for workload in "${workloads[@]}"; do
     while read -r metric better bound; do
-        p="$(of "$workload" "$metric" parent | median)"
-        c="$(of "$workload" "$metric" change | median)"
-        if [ -z "$p" ] || [ -z "$c" ]; then
-            printf '%-14s %-18s %14s %14s %8s %8s %6s %6s  %s\n' "$workload" "$metric" "${p:--}" "${c:--}" - - "$bound" - MISSING
+        claimed=0
+        for claim in ${claims[@]+"${claims[@]}"}; do
+            [ "$claim" = "$metric@$workload" ] && claimed=1
+        done
+        paste -d' ' <(of "$workload" "$metric" parent) <(of "$workload" "$metric" change) >"$tmp/cell"
+        if ! [ -s "$tmp/cell" ] || grep -qv '^[^ ]\+ [^ ]\+$' "$tmp/cell"; then
+            printf "$row" "$workload" "$metric" - - - - - - - - "$bound" - MISSING >>"$tmp/rows"
             failed=1
             continue
         fi
-        # Pairs in which the change read better than its parent.
-        wins="$(paste <(of "$workload" "$metric" parent) <(of "$workload" "$metric" change) \
-            | awk -v better="$better" '(better == "lower") ? $2 < $1 : $2 > $1 { n++ } END { printf "%d/%d", n, NR }')"
-        verdict="$(awk -v p="$p" -v c="$c" -v better="$better" -v bound="$bound" 'BEGIN {
-            worse = (better == "lower") ? (c - p) / p : (p - c) / p
-            printf "%.3f %+.1f%% %s", c / p, 100 * worse, (worse > bound) ? "WORSE" : "ok"
-        }')"
-        read -r ratio worse word <<<"$verdict"
-        printf '%-14s %-18s %14.6g %14.6g %8s %8s %6s %6s  %s\n' "$workload" "$metric" "$p" "$c" "$ratio" "$worse" "$bound" "$wins" "$word"
-        [ "$word" = ok ] || failed=1
+        read -r p1 pm p3 c1 cm c3 ratio worse wins verdict held <<<"$(judge "$better" "$bound" "$claimed" <"$tmp/cell")"
+        [ "$verdict" = UNRESOLVED ] && dest="$tmp/unresolved" || dest="$tmp/rows"
+        printf "$row" "$workload" "$metric" "$p1" "$pm" "$p3" "$c1" "$cm" "$c3" "$ratio" "$worse" "$bound" "$wins" "$verdict" >>"$dest"
+        [ "$verdict" = WORSE ] && failed=1
+        if [ "$claimed" = 1 ]; then
+            echo "claim $metric@$workload: $held (wins $wins, need 9/10; medians $pm -> $cm, parent quartiles $p1..$p3)" >>"$tmp/claims"
+            [ "$held" = held ] || failed=1
+        fi
     done <"$tmp/bounds"
 done
-echo "# ratio = change / parent of the medians; worse = by how much the change is on the wrong side (negative: better); wins = pairs the change won"
+for claim in ${claims[@]+"${claims[@]}"}; do
+    if ! grep -q "^claim $claim:" "$tmp/claims"; then
+        echo "claim $claim: FAILED (no such end-to-end metric on a workload that ran)" >>"$tmp/claims"
+        failed=1
+    fi
+done
+
+echo
+printf "$row" workload metric parent.q1 parent.med parent.q3 change.q1 change.med change.q3 ratio worse bound wins verdict
+cat "$tmp/rows" "$tmp/unresolved"
+cat "$tmp/claims"
+echo "# ratio = change / parent of the medians; worse = by how much the change's median is on the wrong side (negative: better); wins = pairs the change won"
+echo "# UNRESOLVED = within the bound on medians, but the parent's quartiles are further apart than the bound and the runs overlap: run more pairs or read the per-layer cells"
 exit "$failed"
