@@ -1,16 +1,19 @@
 //! Grouping aggregates: COUNT / SUM / AVG / MIN / MAX over grouping keys.
 //!
-//! Two evaluation paths share one set of scalar accumulators ([`AggAcc`]):
+//! One per-group fold serves both evaluation paths: a
+//! [`GroupAggregateState`] maps each group key to its total row
+//! multiplicity and per-aggregate accumulators ([`AggAcc`]).
 //!
 //! * [`group_aggregate_bag`] — the from-scratch evaluation both executors
 //!   (streaming and reference) call for the `GroupAggregate` pipeline
-//!   breaker, and the oracle every incremental result is checked against;
-//! * [`GroupAggregateState`] — a **count-annotated** incremental maintainer:
-//!   each group carries its total row multiplicity plus per-aggregate
-//!   accumulators, so an insert/delete delta updates in O(|Δ|). MIN/MAX keep
-//!   the current per-group extremum with its multiplicity and fall back to a
-//!   re-scan of the group's retained rows only when the extremum's
-//!   multiplicity drops to zero.
+//!   breaker, and the oracle every incremental result is checked against —
+//!   accumulates its input into a fresh state and renders it;
+//! * a log-keeping view whose root `γ` has only *invertible* aggregates
+//!   (`COUNT`, `SUM`/`AVG` over INT) keeps the state of its past input and
+//!   [`fold`](GroupAggregateState::fold)s each change into it in O(|Δ|)
+//!   (`dvm_delta::CountedGamma`). MIN/MAX are not invertible without the
+//!   group's rows, which the state does not keep: deleting from them is
+//!   an error.
 //!
 //! Semantics match SQL `GROUP BY`:
 //!
@@ -29,6 +32,7 @@
 //! restricted to one typed column coincides with SQL comparison and keeps
 //! both evaluation paths deterministic.
 
+use crate::error::{AlgebraError, Result};
 use crate::predicate::ColRef;
 use dvm_storage::{Bag, FxHashMap, Tuple, Value};
 use std::cmp::Ordering;
@@ -143,8 +147,6 @@ struct AggAcc {
     doubles: u64,
     /// Current extremum for MIN/MAX.
     ext: Option<Value>,
-    /// Multiplicity of rows whose argument equals the extremum.
-    ext_mult: u64,
 }
 
 impl AggAcc {
@@ -166,64 +168,49 @@ impl AggAcc {
                 _ => {}
             },
             AggFunc::Min | AggFunc::Max => {
-                let better = self.ext.as_ref().map(|e| match func {
+                let better = self.ext.as_ref().is_none_or(|e| match func {
                     AggFunc::Min => v.cmp(e) == Ordering::Less,
                     _ => v.cmp(e) == Ordering::Greater,
                 });
-                match better {
-                    None | Some(true) => {
-                        self.ext = Some(v.clone());
-                        self.ext_mult = m;
-                    }
-                    Some(false) => {
-                        if self.ext.as_ref() == Some(v) {
-                            self.ext_mult += m;
-                        }
-                    }
+                if better {
+                    self.ext = Some(v.clone());
                 }
             }
         }
     }
 
-    /// Remove `m` copies of argument value `v`. Returns `true` when the
-    /// MIN/MAX extremum's multiplicity just dropped to zero and the caller
-    /// must re-scan the group.
+    /// Take `m` copies of argument value `v` back out. `false`, with
+    /// nothing changed, when the accumulator does not hold that many, or
+    /// when `func` is MIN/MAX: the state keeps no rows to find the next
+    /// extremum in.
     fn sub(&mut self, func: AggFunc, v: &Value, m: u64) -> bool {
         if v.is_null() {
+            return true;
+        }
+        let double = matches!(v, Value::Double(_));
+        if self.nonnull < m
+            || matches!(func, AggFunc::Min | AggFunc::Max)
+            || (double && func != AggFunc::Count && self.doubles < m)
+        {
             return false;
         }
         self.nonnull -= m;
-        match func {
-            AggFunc::Count => false,
-            AggFunc::Sum | AggFunc::Avg => {
-                match v {
-                    Value::Int(x) => {
-                        self.sum_i = self.sum_i.wrapping_sub(x.wrapping_mul(m as i64));
-                    }
-                    Value::Double(x) => {
-                        self.sum_f -= x * m as f64;
-                        self.doubles -= m;
-                        if self.doubles == 0 {
-                            // All double contributions are gone; clear the
-                            // residue so INT output is bit-exact again.
-                            self.sum_f = 0.0;
-                        }
-                    }
-                    _ => {}
-                }
-                false
+        match (func, v) {
+            (AggFunc::Sum | AggFunc::Avg, Value::Int(x)) => {
+                self.sum_i = self.sum_i.wrapping_sub(x.wrapping_mul(m as i64));
             }
-            AggFunc::Min | AggFunc::Max => {
-                if self.ext.as_ref() == Some(v) {
-                    self.ext_mult -= m;
-                    if self.ext_mult == 0 {
-                        self.ext = None;
-                        return true;
-                    }
+            (AggFunc::Sum | AggFunc::Avg, Value::Double(x)) => {
+                self.sum_f -= x * m as f64;
+                self.doubles -= m;
+                if self.doubles == 0 {
+                    // All double contributions are gone; clear the residue
+                    // so INT output is bit-exact again.
+                    self.sum_f = 0.0;
                 }
-                false
             }
+            _ => {}
         }
+        true
     }
 
     /// Final output value; `group_total` is the group's total row
@@ -255,220 +242,183 @@ impl AggAcc {
     }
 }
 
-/// Insert-only accumulation shared by [`group_aggregate_bag`] and the bulk
-/// loader: fold one `(tuple, multiplicity)` into a group's accumulators.
-fn accumulate(
-    total: &mut u64,
-    accs: &mut [AggAcc],
-    aggs: &[(AggFunc, Option<usize>)],
-    t: &Tuple,
-    m: u64,
-) {
-    *total += m;
-    for (acc, (func, arg)) in accs.iter_mut().zip(aggs) {
-        if let Some(i) = arg {
-            acc.add(*func, &t[*i], m);
-        }
-    }
+/// One group's state: its total row multiplicity, per-aggregate
+/// accumulators and, once a fold has emitted it, its output row. No input
+/// rows are kept. The next fold's old row is that very tuple — the one the
+/// view's tables got — so deleting it from them matches by pointer.
+#[derive(Debug, Clone, Default)]
+struct GroupState {
+    total: u64,
+    accs: Vec<AggAcc>,
+    row: Option<Tuple>,
 }
 
 /// Render one group's output row: key values followed by finalized
 /// aggregates.
-fn output_row(
-    key: &[Value],
-    total: u64,
-    accs: &[AggAcc],
-    aggs: &[(AggFunc, Option<usize>)],
-) -> Tuple {
-    let mut vals: Vec<Value> = Vec::with_capacity(key.len() + aggs.len());
-    vals.extend_from_slice(key);
-    for (acc, (func, arg)) in accs.iter().zip(aggs) {
-        vals.push(acc.finalize(*func, *arg, total));
-    }
-    Tuple::new(vals)
+fn output_row(key: &[Value], g: &GroupState, aggs: &[(AggFunc, Option<usize>)]) -> Tuple {
+    let values = g.accs.iter().zip(aggs);
+    let finalized = values.map(|(acc, (func, arg))| acc.finalize(*func, *arg, g.total));
+    key.iter().cloned().chain(finalized).collect()
 }
 
 /// From-scratch evaluation of `γ_{keys; aggs}(input)`: one output row per
 /// non-empty group, multiplicity 1. This is the single definition of
 /// aggregate semantics — the streaming executor, the reference evaluator
-/// and the incremental oracle checks all call it.
+/// and the incremental oracle checks all call it, and it is the same
+/// accumulate-then-render a [`GroupAggregateState`] does.
 pub fn group_aggregate_bag(input: &Bag, keys: &[usize], aggs: &[(AggFunc, Option<usize>)]) -> Bag {
-    let mut groups: FxHashMap<Box<[Value]>, (u64, Vec<AggAcc>)> = FxHashMap::default();
-    let mut scratch: Vec<Value> = Vec::with_capacity(keys.len());
-    for (t, m) in input.iter() {
-        scratch.clear();
-        scratch.extend(keys.iter().map(|&i| t[i].clone()));
-        let (total, accs) = group_entry(&mut groups, &scratch);
-        if accs.is_empty() {
-            accs.resize_with(aggs.len(), AggAcc::default);
-        }
-        accumulate(total, accs, aggs, t, m);
-    }
-    let mut out = Bag::new();
-    for (key, (total, accs)) in &groups {
-        out.insert(output_row(key, *total, accs, aggs));
-    }
-    out
+    GroupAggregateState::from_bag(keys.to_vec(), aggs.to_vec(), input).render()
 }
 
-/// One group's incremental state: total row multiplicity, retained rows
-/// (the re-scan fallback source), and per-aggregate accumulators.
-#[derive(Debug, Clone, Default)]
-struct GroupState {
-    total: u64,
-    rows: FxHashMap<Tuple, u64>,
-    accs: Vec<AggAcc>,
-}
-
-/// Count-annotated incremental maintainer for one `GroupAggregate`.
+/// The count-annotated state of one `GroupAggregate`: per group key, the
+/// total row multiplicity, the [`AggAcc`] accumulators and the output row
+/// a fold last emitted — no input rows.
 ///
-/// [`insert`](Self::insert) / [`delete`](Self::delete) cost O(1) per delta
-/// tuple except when a delete removes the last copy of a group's MIN/MAX
-/// extremum, which triggers a re-scan of that group's retained rows
-/// (counted in [`rescans`](Self::rescans)). [`snapshot`](Self::snapshot)
-/// renders the current output bag, bag-equal to
-/// [`group_aggregate_bag`] over the maintained input — the property the
-/// differential oracle tests enforce.
+/// Inserting is O(1) per input row for every function; deleting is O(1)
+/// for the *invertible* ones (`COUNT`, `SUM`, `AVG`) and refuses MIN/MAX,
+/// which would need the group's rows to find the next extremum.
+/// [`render`](Self::render) is bag-equal to [`group_aggregate_bag`] over
+/// the maintained input, and [`fold`](Self::fold) returns exactly the
+/// change of that rendering.
 #[derive(Debug, Clone)]
 pub struct GroupAggregateState {
     keys: Vec<usize>,
     aggs: Vec<(AggFunc, Option<usize>)>,
     groups: FxHashMap<Box<[Value]>, GroupState>,
-    rescans: u64,
 }
 
 impl GroupAggregateState {
-    /// Empty maintainer over the given key/aggregate positions.
-    pub fn new(keys: Vec<usize>, aggs: Vec<(AggFunc, Option<usize>)>) -> Self {
-        GroupAggregateState {
-            keys,
-            aggs,
-            groups: FxHashMap::default(),
-            rescans: 0,
-        }
-    }
-
-    /// Bulk-load a maintainer from an initial input bag.
+    /// The state of `input`, in one pass.
     pub fn from_bag(keys: Vec<usize>, aggs: Vec<(AggFunc, Option<usize>)>, input: &Bag) -> Self {
-        let mut s = GroupAggregateState::new(keys, aggs);
+        let groups = FxHashMap::default();
+        let mut s = GroupAggregateState { keys, aggs, groups };
+        let mut key = Vec::with_capacity(s.keys.len());
         for (t, m) in input.iter() {
-            s.insert(t, m);
+            s.key_into(&mut key, t);
+            s.accumulate(&key, t, m);
         }
         s
     }
 
-    fn key_of(&self, t: &Tuple) -> Vec<Value> {
-        self.keys.iter().map(|&i| t[i].clone()).collect()
+    fn key_into(&self, key: &mut Vec<Value>, t: &Tuple) {
+        key.clear();
+        key.extend(self.keys.iter().map(|&i| t[i].clone()));
     }
 
-    /// Fold `m` copies of input row `t` in.
-    pub fn insert(&mut self, t: &Tuple, m: u64) {
-        if m == 0 {
-            return;
-        }
-        let key = self.key_of(t);
-        let g = group_entry(&mut self.groups, &key);
+    /// The one per-group fold every path shares: `m` copies of row `t`,
+    /// whose group key is `key`, in.
+    fn accumulate(&mut self, key: &[Value], t: &Tuple, m: u64) {
+        let g = group_entry(&mut self.groups, key);
         if g.accs.is_empty() {
             g.accs.resize_with(self.aggs.len(), AggAcc::default);
         }
-        accumulate(&mut g.total, &mut g.accs, &self.aggs, t, m);
-        *g.rows.entry(t.clone()).or_insert(0) += m;
+        g.total += m;
+        g.row = None;
+        for (acc, (func, arg)) in g.accs.iter_mut().zip(&self.aggs) {
+            if let Some(i) = arg {
+                acc.add(*func, &t[*i], m);
+            }
+        }
     }
 
-    /// Remove `m` copies of input row `t` (which must be present with at
-    /// least that multiplicity — deltas are weakly minimal by the engine's
-    /// boundary normalization).
-    ///
-    /// # Panics
-    /// Panics when the row (or multiplicity) is not present.
-    pub fn delete(&mut self, t: &Tuple, m: u64) {
-        if m == 0 {
-            return;
-        }
-        let key = self.key_of(t);
-        let g = self
-            .groups
-            .get_mut(key.as_slice())
-            .expect("delete of a row in an unknown group");
-        let cur = g.rows.get_mut(t).expect("delete of an absent row");
-        assert!(*cur >= m, "delete multiplicity exceeds retained count");
-        *cur -= m;
-        if *cur == 0 {
-            g.rows.remove(t);
+    fn retract(&mut self, key: &[Value], t: &Tuple, m: u64) -> Result<()> {
+        let fail = |why: &str| {
+            Err(AlgebraError::AggregateState(format!(
+                "delete of {t}×{m}: {why}"
+            )))
+        };
+        let Some(g) = self.groups.get_mut(key) else {
+            return fail("unknown group");
+        };
+        if g.total < m {
+            return fail("group holds fewer rows");
         }
         g.total -= m;
+        g.row = None;
         if g.total == 0 {
-            // The group vanished; no accumulator bookkeeping needed.
-            self.groups.remove(key.as_slice());
-            return;
+            self.groups.remove(key);
+            return Ok(());
         }
-        let mut need_rescan: Vec<usize> = Vec::new();
-        for (i, (acc, (func, arg))) in g.accs.iter_mut().zip(&self.aggs).enumerate() {
-            if let Some(c) = arg {
-                if acc.sub(*func, &t[*c], m) {
-                    need_rescan.push(i);
+        for (acc, (func, arg)) in g.accs.iter_mut().zip(&self.aggs) {
+            if arg.is_some_and(|i| !acc.sub(*func, &t[i], m)) {
+                return fail("aggregate cannot take the argument back");
+            }
+        }
+        Ok(())
+    }
+
+    /// Remove `m` copies of input row `t`. An unknown group, a group with
+    /// fewer rows, or an aggregate that cannot be inverted (MIN/MAX) is an
+    /// error, never a panic; the state may then be partly updated and is
+    /// to be discarded.
+    pub fn delete(&mut self, t: &Tuple, m: u64) -> Result<()> {
+        let mut key = Vec::with_capacity(self.keys.len());
+        self.key_into(&mut key, t);
+        self.retract(&key, t, m)
+    }
+
+    /// Fold an input change into the state, deletions first (so a `del`
+    /// contained in the input the state describes never underflows), and
+    /// return the change of [`render`](Self::render): `(old, new, touched)`
+    /// — the old and the new row of every touched group whose row changed,
+    /// and how many groups `del ⊎ ins` touched. A group that vanished has
+    /// no new row, a new group no old one. On `Err` the state is to be
+    /// discarded, as for [`delete`](Self::delete).
+    pub fn fold(&mut self, del: &Bag, ins: &Bag) -> Result<(Bag, Bag, usize)> {
+        let mut key = Vec::with_capacity(self.keys.len());
+        let mut before: FxHashMap<Box<[Value]>, Option<Tuple>> = FxHashMap::default();
+        let rows = del.iter().map(|(t, m)| (t, m, true));
+        for (t, m, deleted) in rows.chain(ins.iter().map(|(t, m)| (t, m, false))) {
+            self.key_into(&mut key, t);
+            if !before.contains_key(key.as_slice()) {
+                before.insert(key.clone().into_boxed_slice(), self.row(&key));
+            }
+            if deleted {
+                self.retract(&key, t, m)?;
+            } else {
+                self.accumulate(&key, t, m);
+            }
+        }
+        let touched = before.len();
+        let (mut old, mut new) = (Bag::new(), Bag::new());
+        for (key, was) in before {
+            let now = self.groups.get_mut(&key).map(|g| {
+                g.row = Some(output_row(&key, g, &self.aggs));
+                g.row.clone().expect("just rendered")
+            });
+            if was != now {
+                if let Some(row) = was {
+                    old.insert(row);
+                }
+                if let Some(row) = now {
+                    new.insert(row);
                 }
             }
         }
-        // Fallback: the deleted value was the last copy of the extremum —
-        // recompute MIN/MAX for exactly the affected aggregates from the
-        // group's retained rows.
-        for i in need_rescan {
-            self.rescans += 1;
-            let (func, arg) = self.aggs[i];
-            let col = arg.expect("extremum aggregates always have an argument");
-            let acc = &mut g.accs[i];
-            acc.ext = None;
-            acc.ext_mult = 0;
-            for (row, mult) in &g.rows {
-                let v = &row[col];
-                if v.is_null() {
-                    continue;
-                }
-                let better = match &acc.ext {
-                    None => true,
-                    Some(e) => match func {
-                        AggFunc::Min => v.cmp(e) == Ordering::Less,
-                        _ => v.cmp(e) == Ordering::Greater,
-                    },
-                };
-                if better {
-                    acc.ext = Some(v.clone());
-                    acc.ext_mult = *mult;
-                } else if acc.ext.as_ref() == Some(v) {
-                    acc.ext_mult += *mult;
-                }
-            }
-        }
+        Ok((old, new, touched))
     }
 
-    /// Apply a weakly minimal delta pair: `del` first, then `add`.
-    pub fn apply(&mut self, del: &Bag, add: &Bag) {
-        for (t, m) in del.iter() {
-            self.delete(t, m);
-        }
-        for (t, m) in add.iter() {
-            self.insert(t, m);
-        }
+    /// One group's output row, `None` when the group is empty.
+    fn row(&self, key: &[Value]) -> Option<Tuple> {
+        let g = self.groups.get(key)?;
+        Some(
+            g.row
+                .clone()
+                .unwrap_or_else(|| output_row(key, g, &self.aggs)),
+        )
     }
 
-    /// Render the current aggregate output (one row per live group).
-    pub fn snapshot(&self) -> Bag {
+    /// Render the aggregate output: one row per live group.
+    pub fn render(&self) -> Bag {
         let mut out = Bag::new();
         for (key, g) in &self.groups {
-            out.insert(output_row(key, g.total, &g.accs, &self.aggs));
+            out.insert(
+                g.row
+                    .clone()
+                    .unwrap_or_else(|| output_row(key, g, &self.aggs)),
+            );
         }
         out
-    }
-
-    /// Number of live groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// How many extremum re-scans deletes have forced so far.
-    pub fn rescans(&self) -> u64 {
-        self.rescans
     }
 }
 
@@ -533,76 +483,82 @@ mod tests {
         assert!(out.contains(&Tuple::new(vec![Value::Null, Value::Int(2)])));
     }
 
+    fn state(aggs: Vec<(AggFunc, Option<usize>)>, rows: &[(Tuple, u64)]) -> GroupAggregateState {
+        let mut input = Bag::new();
+        rows.iter().for_each(|(t, m)| input.insert_n(t.clone(), *m));
+        GroupAggregateState::from_bag(vec![0], aggs, &input)
+    }
+
     #[test]
-    fn extremum_delete_triggers_rescan_and_recovers() {
-        let mut s = GroupAggregateState::new(vec![0], vec![(AggFunc::Min, Some(1))]);
-        s.insert(&tuple![1, 10], 1);
-        s.insert(&tuple![1, 20], 2);
-        assert_eq!(s.rescans(), 0);
-        s.delete(&tuple![1, 10], 1);
-        assert_eq!(s.rescans(), 1, "last copy of the minimum forces a re-scan");
-        assert!(s.snapshot().contains(&tuple![1, 20]));
-        // Deleting a non-extremum copy does not re-scan.
-        s.delete(&tuple![1, 20], 1);
-        assert_eq!(s.rescans(), 1);
-        assert!(s.snapshot().contains(&tuple![1, 20]));
+    fn bad_deletes_are_errors_not_panics() {
+        let mut s = state(vec![(AggFunc::Sum, Some(1))], &[(tuple![1, 10], 1)]);
+        assert!(s.delete(&tuple![2, 10], 1).is_err(), "unknown group");
+        assert!(s.delete(&tuple![1, 10], 2).is_err(), "more rows than held");
+        // MIN/MAX keep no rows to find the next extremum in.
+        let rows = [(tuple![1, 10], 1), (tuple![1, 20], 1)];
+        let mut m = state(vec![(AggFunc::Min, Some(1))], &rows);
+        assert!(m.delete(&tuple![1, 20], 1).is_err());
     }
 
     #[test]
     fn groups_vanish_at_zero() {
-        let mut s = GroupAggregateState::new(vec![0], vec![(AggFunc::Count, None)]);
-        s.insert(&tuple![7, 1], 3);
-        s.delete(&tuple![7, 1], 3);
-        assert_eq!(s.group_count(), 0);
-        assert!(s.snapshot().is_empty());
+        let mut s = state(vec![(AggFunc::Count, None)], &[(tuple![7, 1], 3)]);
+        s.delete(&tuple![7, 1], 3).unwrap();
+        assert!(s.render().is_empty());
     }
 
     #[test]
     fn sum_coerces_to_double_and_back() {
-        let mut s = GroupAggregateState::new(vec![0], vec![(AggFunc::Sum, Some(1))]);
-        s.insert(&tuple![1, 2], 1);
-        s.insert(&tuple![1, 1.5], 1);
-        assert!(s.snapshot().contains(&tuple![1, 3.5]));
-        s.delete(&tuple![1, 1.5], 1);
+        let rows = [(tuple![1, 2], 1), (tuple![1, 1.5], 1)];
+        let mut s = state(vec![(AggFunc::Sum, Some(1))], &rows);
+        assert!(s.render().contains(&tuple![1, 3.5]));
+        s.delete(&tuple![1, 1.5], 1).unwrap();
         // The last double contribution is gone: output is INT again, exactly
         // as a recompute would produce.
-        assert!(s.snapshot().contains(&tuple![1, 2]));
+        assert!(s.render().contains(&tuple![1, 2]));
     }
 
+    /// Random insert/delete batches over the invertible functions, NULL
+    /// arguments and half-integral doubles (exact in binary, so sums
+    /// compare bit for bit): after every fold the state renders the
+    /// recompute, and the fold's `(old, new)` is exactly the change of the
+    /// rendering.
     #[test]
     fn incremental_matches_recompute_on_random_streams() {
         use crate::testgen::Rng;
+        let aggs = vec![
+            (AggFunc::Count, None),
+            (AggFunc::Count, Some(1)),
+            (AggFunc::Sum, Some(1)),
+            (AggFunc::Avg, Some(1)),
+        ];
         let mut rng = Rng::new(0xA66);
         for _case in 0..200 {
-            let aggs = agg_all();
-            let mut state = GroupAggregateState::new(vec![0], aggs.clone());
+            let mut state = GroupAggregateState::from_bag(vec![0], aggs.clone(), &Bag::new());
             let mut base = Bag::new();
-            for _op in 0..40 {
-                if !base.is_empty() && rng.below(3) == 0 {
-                    // Delete an existing row (possibly partially).
-                    let rows: Vec<(Tuple, u64)> =
-                        base.iter().map(|(t, m)| (t.clone(), m)).collect();
-                    let (t, m) = &rows[rng.below(rows.len() as u64) as usize];
-                    let k = 1 + rng.below(*m);
-                    base.remove_n(t, k);
-                    state.delete(t, k);
-                } else {
+            for _op in 0..20 {
+                let (mut del, mut ins) = (Bag::new(), Bag::new());
+                for (t, m) in base.iter() {
+                    if rng.below(4) == 0 {
+                        del.insert_n(t.clone(), 1 + rng.below(m));
+                    }
+                }
+                for _ in 0..rng.below(4) {
                     let a = rng.below(3) as i64;
                     let b = match rng.below(5) {
                         0 => Value::Null,
                         1 => Value::Double(rng.below(8) as f64 / 2.0),
                         _ => Value::Int(rng.below(20) as i64 - 10),
                     };
-                    let t = Tuple::new(vec![Value::Int(a), b]);
-                    let m = 1 + rng.below(3);
-                    base.insert_n(t.clone(), m);
-                    state.insert(&t, m);
+                    ins.insert_n(Tuple::new(vec![Value::Int(a), b]), 1 + rng.below(3));
                 }
-                assert_eq!(
-                    state.snapshot(),
-                    group_aggregate_bag(&base, &[0], &aggs),
-                    "incremental state diverged from recompute"
-                );
+                let before = state.render();
+                let (old, new, touched) = state.fold(&del, &ins).unwrap();
+                base.apply_delta(&del, &ins);
+                let after = state.render();
+                assert_eq!(after, group_aggregate_bag(&base, &[0], &aggs));
+                assert_eq!((old, new), (before.monus(&after), after.monus(&before)));
+                assert!(touched <= del.distinct_len() + ins.distinct_len());
             }
         }
     }

@@ -32,6 +32,10 @@ pub enum AlgebraError {
     /// An aggregate call is ill-typed or ill-formed (non-numeric SUM/AVG
     /// argument, argument-less function other than `COUNT(*)`, …).
     BadAggregate(String),
+    /// A change could not be folded into a count-annotated aggregate state
+    /// (a delete from an unknown group, more rows than the group holds, or
+    /// a MIN/MAX argument taken back).
+    AggregateState(String),
     /// Joining two tuples overflowed the `u64` multiplicity counter.
     ///
     /// Deferred maintenance trades in exact multiplicities (the differential
@@ -63,11 +67,9 @@ impl fmt::Display for AlgebraError {
                 write!(f, "cannot expand EXCEPT: {msg}")
             }
             AlgebraError::BadAggregate(msg) => write!(f, "bad aggregate: {msg}"),
+            AlgebraError::AggregateState(msg) => write!(f, "aggregate state: {msg}"),
             AlgebraError::MultiplicityOverflow { left, right } => {
-                write!(
-                    f,
-                    "joined multiplicity overflows u64: {left} * {right}"
-                )
+                write!(f, "joined multiplicity overflows u64: {left} * {right}")
             }
         }
     }

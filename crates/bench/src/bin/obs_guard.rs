@@ -21,11 +21,6 @@
 //! artifact's internal ratios — same machine, same run — so they are
 //! noise-robust and fail only when the executor actually regresses.
 //!
-//! Likewise for **incremental aggregates**: `results/BENCH_agg.json`
-//! (written by `exp_agg`) must show the count-annotated maintainer ≥5×
-//! over a full recompute when applying a 1000-row delta to the 100k-row /
-//! 1k-group Zipf view — the O(|Δ|) claim, checked as a recorded ratio.
-//!
 //! For **group-committed ingestion**: `results/BENCH_ingest.json`
 //! (written by `exp_ingest`) must show the CDC pipeline — four producer
 //! streams group-committed with one WAL sync per batch — ≥3× over
@@ -68,14 +63,6 @@ const EVAL_GATES: &[(&str, &str, f64, &str)] = &[
         "streaming propagate phase vs materializing reference",
     ),
 ];
-
-/// Same shape for `results/BENCH_agg.json` (written by `exp_agg`).
-const AGG_GATES: &[(&str, &str, f64, &str)] = &[(
-    "agg/recompute/full",
-    "agg/incremental/delta1000",
-    5.0,
-    "incremental aggregate delta vs full recompute (100k rows / 1k groups)",
-)];
 
 /// Same shape for `results/BENCH_ingest.json` (written by `exp_ingest`):
 /// the group-committed pipeline must amortize the `Always`-policy fsync
@@ -212,7 +199,6 @@ fn make() -> (Database, Vec<Vec<Transaction>>) {
 
 fn main() {
     let gates_ok = check_ratio_gates("results/BENCH_eval.json", EVAL_GATES, "exp_eval")
-        & check_ratio_gates("results/BENCH_agg.json", AGG_GATES, "exp_agg")
         & check_ratio_gates("results/BENCH_ingest.json", INGEST_GATES, "exp_ingest")
         & check_ratio_gates("results/BENCH_compile.json", COMPILE_GATES, "exp_compile")
         & check_parallel_propagate_gate();
@@ -236,7 +222,10 @@ fn main() {
     let measured = (0..3)
         .map(|_| {
             let s = bench.run_batched(NAME, make, |(db, txs)| {
-                assert!(!db.tracer().is_enabled(), "tracer must be off for the guard");
+                assert!(
+                    !db.tracer().is_enabled(),
+                    "tracer must be off for the guard"
+                );
                 assert!(
                     !dvm_obs::profiling_on(),
                     "profiling must be off for the guard: the ≤5% budget is \

@@ -99,12 +99,21 @@ fn check_observability(v: &Value, ctx: &str) {
         require(view, "scenario", &vctx)
             .as_str()
             .unwrap_or_else(|| panic!("{vctx}: `scenario` is not a string"));
-        for hist in ["makesafe", "propagate", "refresh", "mv_write_hold", "mv_read_wait"] {
+        for hist in [
+            "makesafe",
+            "propagate",
+            "refresh",
+            "mv_write_hold",
+            "mv_read_wait",
+        ] {
             check_histogram(require(view, hist, &vctx), &format!("{vctx}/{hist}"));
         }
         require_num(view, "log_tuples", &vctx);
         require_num(view, "dt_tuples", &vctx);
-        check_staleness(require(view, "staleness", &vctx), &format!("{vctx}/staleness"));
+        check_staleness(
+            require(view, "staleness", &vctx),
+            &format!("{vctx}/staleness"),
+        );
     }
     let shared = require(v, "shared_log", ctx);
     for k in ["entries", "volume", "epoch"] {
@@ -131,8 +140,14 @@ fn check_bench_report(doc: &Value, ctx: &str) {
         let median = require_num(b, "median_ns", &bctx);
         let p95 = require_num(b, "p95_ns", &bctx);
         let max = require_num(b, "max_ns", &bctx);
-        assert!(min <= median && median <= p95 && p95 <= max, "{bctx}: unordered quantiles");
-        assert!(require_num(b, "samples", &bctx) >= 1.0, "{bctx}: no samples");
+        assert!(
+            min <= median && median <= p95 && p95 <= max,
+            "{bctx}: unordered quantiles"
+        );
+        assert!(
+            require_num(b, "samples", &bctx) >= 1.0,
+            "{bctx}: no samples"
+        );
     }
 }
 
@@ -199,28 +214,6 @@ fn check_eval_report(doc: &Value, ctx: &str) {
         assert!(
             names.contains(want),
             "{ctx}: missing benchmark `{want}` (the speedup gates depend on it)"
-        );
-    }
-}
-
-/// `BENCH_agg.json` must carry the series the aggregate speedup gate in
-/// `obs_guard` divides, plus the delta-100 ablation point.
-fn check_agg_report(doc: &Value, ctx: &str) {
-    const REQUIRED: &[&str] = &[
-        "agg/incremental/delta100",
-        "agg/incremental/delta1000",
-        "agg/recompute/full",
-        "agg/build/from_bag",
-    ];
-    let benches = require(doc, "benchmarks", ctx).as_arr().unwrap();
-    let names: Vec<&str> = benches
-        .iter()
-        .filter_map(|b| b.get("name").and_then(|n| n.as_str()))
-        .collect();
-    for want in REQUIRED {
-        assert!(
-            names.contains(want),
-            "{ctx}: missing benchmark `{want}` (the aggregate speedup gate depends on it)"
         );
     }
 }
@@ -345,7 +338,10 @@ fn check_profile_report(doc: &Value, ctx: &str) {
     let ops = require(profile, "ops", &pctx)
         .as_arr()
         .unwrap_or_else(|| panic!("{pctx}: `ops` is not an array"));
-    assert!(!ops.is_empty(), "{pctx}: no profiled maintenance operations");
+    assert!(
+        !ops.is_empty(),
+        "{pctx}: no profiled maintenance operations"
+    );
     for op in ops {
         let kind = require(op, "op", &pctx)
             .as_str()
@@ -362,7 +358,10 @@ fn check_profile_report(doc: &Value, ctx: &str) {
             // `json::num_f` rounds to one decimal place, so allow half a
             // step of quantization either way.
             let expect = attributed / total;
-            assert!((coverage - expect).abs() <= 0.05, "{octx}: coverage inconsistent");
+            assert!(
+                (coverage - expect).abs() <= 0.05,
+                "{octx}: coverage inconsistent"
+            );
         }
         let evals = require(op, "evals", &octx)
             .as_arr()
@@ -417,7 +416,11 @@ fn check_profile_report(doc: &Value, ctx: &str) {
         );
     }
     for s in series {
-        let name = s.get("name").and_then(|n| n.as_str()).unwrap_or("?").to_string();
+        let name = s
+            .get("name")
+            .and_then(|n| n.as_str())
+            .unwrap_or("?")
+            .to_string();
         let sctx = format!("{pctx}/series {name}");
         let samples = require_num(s, "samples", &sctx);
         require_num(s, "bucket", &sctx);
@@ -473,9 +476,6 @@ fn every_results_json_parses_and_matches_its_schema() {
             }
             if name == "BENCH_eval.json" {
                 check_eval_report(&doc, &name);
-            }
-            if name == "BENCH_agg.json" {
-                check_agg_report(&doc, &name);
             }
             if name == "BENCH_concurrent.json" {
                 check_concurrent_report(&doc, &name);

@@ -49,10 +49,9 @@ use crate::view::{Minimality, Scenario, View};
 use dvm_algebra::eval::PinnedState;
 use dvm_algebra::infer::compile;
 use dvm_algebra::Expr;
-use dvm_delta::{compose_into, CompiledDeltaVariant, Transaction};
+use dvm_delta::{compose_into, CompiledDeltaProgram, CompiledDeltaVariant, Transaction};
 use dvm_durability::{
-    checkpoint as checkpoint_file, Checkpoint, CrashFs, DurabilityError, Wal, WalOptions,
-    WalStatus,
+    checkpoint as checkpoint_file, Checkpoint, CrashFs, DurabilityError, Wal, WalOptions, WalStatus,
 };
 use dvm_obs::{profile as obs_profile, EventKind, TimeSeries, Tracer};
 use dvm_storage::{Bag, Catalog, CommitGuard, CommitMode, Schema, Table, TableKind};
@@ -94,15 +93,29 @@ struct DurableState {
 }
 
 /// Render a stored variant's `(▼, ▲)` plans, each under a
-/// `-- {kind} ▼(L,Q) plan{note} --` heading with its output schema.
-fn render_variant(out: &mut String, variant: &CompiledDeltaVariant, kind: &str, note: &str) {
+/// `-- {kind} ▼(L,Q) plan{note} --` heading with its output schema. A
+/// counted program's plans are its input's, `▼(L,E)`/`▲(L,E)`, under a line
+/// naming the fold they feed.
+fn render_variant(
+    out: &mut String,
+    program: &CompiledDeltaProgram,
+    variant: &CompiledDeltaVariant,
+    kind: &str,
+    note: &str,
+) {
     use std::fmt::Write as _;
-    for (name, q) in [("▼", &variant.del), ("▲", &variant.ins)] {
-        let plan = dvm_algebra::explain_plan_shared(&q.plan, &variant.shared);
-        let schema = &q.schema;
+    let mut q = "Q";
+    if let Some(count) = program.counted() {
+        let e = count.input();
+        writeln!(out, "-- γ fold over ▼E/▲E, E = {e} --").expect("write to string");
+        q = "E";
+    }
+    for (name, query) in [("▼", &variant.del), ("▲", &variant.ins)] {
+        let plan = dvm_algebra::explain_plan_shared(&query.plan, &variant.shared);
+        let schema = &query.schema;
         write!(
             out,
-            "-- {kind} {name}(L,Q) plan{note} --\nschema: {schema}\n{plan}"
+            "-- {kind} {name}(L,{q}) plan{note} --\nschema: {schema}\n{plan}"
         )
         .expect("write to string");
     }
@@ -376,7 +389,13 @@ impl Database {
         definition: Expr,
         minimality: Minimality,
     ) -> Result<()> {
-        self.create_view_inner(name.into(), definition, Scenario::Combined, minimality, true)
+        self.create_view_inner(
+            name.into(),
+            definition,
+            Scenario::Combined,
+            minimality,
+            true,
+        )
     }
 
     fn create_view_inner(
@@ -948,7 +967,12 @@ impl Database {
             let _ = obs_profile::take_captured();
         }
         let start = Instant::now();
-        body(&view)?;
+        if let Err(e) = body(&view) {
+            // Whatever failed, a counted view's `S` may be ahead of the
+            // tables it describes: it goes with the program.
+            view.invalidate_delta_program();
+            return Err(e);
+        }
         let nanos = start.elapsed().as_nanos() as u64;
         let redo = if op == EventKind::Propagate {
             view.metrics().record_propagate(nanos);
@@ -1168,9 +1192,10 @@ impl Database {
     /// Human-readable EXPLAIN of a view: its definition, the optimized
     /// physical plan of `Q`, and — for log-based scenarios — the plans of
     /// the post-update refresh queries `▼(L,Q)` / `▲(L,Q)` as the stored
-    /// delta program runs them with every log active. A root-`γ` view's
-    /// plans read `PAST(L,Q)` off the view's own tables; the line above
-    /// them says which invariant vouches for that.
+    /// delta program runs them with every log active. A counted root-`γ`
+    /// view shows its input's plans under the `γ fold` they feed; another
+    /// root-`γ` view's plans read `PAST(L,Q)` off the view's own tables,
+    /// and the line above them says which invariant vouches for that.
     pub fn explain_view(&self, name: &str) -> Result<String> {
         use std::fmt::Write as _;
         let view = self.view(name)?;
@@ -1185,15 +1210,16 @@ impl Database {
         writeln!(out, "-- materialization plan --").expect("write to string");
         out.push_str(&dvm_algebra::explain_query(view.compiled()));
         if view.log().is_some() {
-            if let Some(past) = view.materialized_past() {
+            let program = view.delta_program(&self.catalog)?;
+            if let (Some(past), None) = (view.materialized_past(), program.counted()) {
                 let inv = match view.scenario() {
                     Scenario::BaseLog => "INV_BL",
                     _ => "INV_C",
                 };
                 writeln!(out, "-- PAST(L,Q) ← {inv}: {past} --").expect("write to string");
             }
-            if let Some(variant) = view.delta_program(&self.catalog)?.full_variant() {
-                render_variant(&mut out, &variant, "refresh", "");
+            if let Some(variant) = program.full_variant() {
+                render_variant(&mut out, &program, &variant, "refresh", "");
             }
         }
         Ok(out)
@@ -1239,7 +1265,13 @@ impl Database {
         .expect("write to string");
         match program.full_variant() {
             Some(variant) => {
-                render_variant(&mut out, &variant, "compiled", " (all logs active)");
+                render_variant(
+                    &mut out,
+                    &program,
+                    &variant,
+                    "compiled",
+                    " (all logs active)",
+                );
                 writeln!(
                     out,
                     "  ({} subplans marked [shared #n] run once per maintenance call)",
@@ -1563,10 +1595,13 @@ impl Database {
             let payload = durable::encode_state(&self.capture_state());
             d.wal.sync()?;
             let lsn = d.wal.last_lsn();
-            checkpoint_file::save(&d.dir, &Checkpoint {
-                wal_lsn: lsn,
-                payload,
-            })?;
+            checkpoint_file::save(
+                &d.dir,
+                &Checkpoint {
+                    wal_lsn: lsn,
+                    payload,
+                },
+            )?;
             d.last_checkpoint_lsn = lsn;
             d.wal.truncate_through(lsn)?;
             self.tracer.event(
@@ -1622,10 +1657,13 @@ impl Database {
             for seg in CrashFs::wal_segments(dir)? {
                 std::fs::remove_file(&seg).map_err(|e| DurabilityError::io(&seg, e))?;
             }
-            checkpoint_file::save(dir, &Checkpoint {
-                wal_lsn: 0,
-                payload,
-            })?;
+            checkpoint_file::save(
+                dir,
+                &Checkpoint {
+                    wal_lsn: 0,
+                    payload,
+                },
+            )?;
             return Ok(());
         }
     }

@@ -17,7 +17,7 @@
 //! ```
 
 use crate::error::{CoreError, Result};
-use crate::scenario::{eval_variant_bound, phase_end, phase_start};
+use crate::scenario::{eval_variant_bound, fold_counted, phase_end, phase_start};
 use crate::view::View;
 use dvm_delta::{compose_into, Transaction};
 use dvm_storage::Catalog;
@@ -56,9 +56,8 @@ pub fn refresh(catalog: &Catalog, view: &View) -> Result<()> {
         op: "refresh_BL",
     })?;
     let program = view.delta_program(catalog)?;
-    let mask = program.activity_mask(&|t| {
-        catalog.get(t).map(|tbl| tbl.is_empty()).unwrap_or(false)
-    });
+    let mask =
+        program.activity_mask(&|t| catalog.get(t).map(|tbl| tbl.is_empty()).unwrap_or(false));
     if mask == 0 {
         // Nothing logged since the last refresh: MV is already PAST(L,Q).
         return Ok(());
@@ -73,13 +72,27 @@ pub fn refresh(catalog: &Catalog, view: &View) -> Result<()> {
     let active = program.active_log_tables(mask);
 
     let mv = catalog.require(view.mv_table())?;
+    // A counted program reads base and log only: it evaluates `(▼E, ▲E)`
+    // and folds them into `S` before the downtime starts.
+    let counted = program
+        .counted()
+        .map(|count| {
+            let (del_e, ins_e) = eval_variant_bound(catalog, &variant, &active, None)?;
+            fold_counted(catalog, view, count, &del_e, &ins_e)
+        })
+        .transpose()?;
     // Downtime starts: write-lock MV, then bind, evaluate and apply. A
-    // root-γ program reads MV itself (it is `PAST(L,Q)`, `INV_BL`): the
-    // guard's bag is lent by reference — pinning it here would deadlock
-    // on our own write lock, and a copy would be downtime.
+    // root-γ `P ∸ Q` program reads MV itself (it is `PAST(L,Q)`,
+    // `INV_BL`): the guard's bag is lent by reference — pinning it here
+    // would deadlock on our own write lock, and a copy would be downtime.
     let mut mv_guard = mv.write();
-    let lent = Some((view.mv_table(), &*mv_guard));
-    let (del_bag, ins_bag) = eval_variant_bound(catalog, &variant, &active, lent)?;
+    let (del_bag, ins_bag) = match counted {
+        Some(deltas) => deltas,
+        None => {
+            let lent = Some((view.mv_table(), &*mv_guard));
+            eval_variant_bound(catalog, &variant, &active, lent)?
+        }
+    };
     program.record_bind();
     mv_guard.apply_delta(&del_bag, &ins_bag);
     // L := φ, still inside the refresh transaction.

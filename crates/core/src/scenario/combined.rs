@@ -14,7 +14,9 @@
 //! ```
 
 use crate::error::{CoreError, Result};
-use crate::scenario::{base_log, diff_table, eval_variant_bound, phase_end, phase_start};
+use crate::scenario::{
+    base_log, diff_table, eval_variant_bound, fold_counted, phase_end, phase_start,
+};
 use crate::view::{Minimality, View};
 use dvm_delta::{compose_into, strongify_bags, Transaction};
 use dvm_storage::{compose_delta_parallel, Catalog};
@@ -48,9 +50,8 @@ pub fn propagate(catalog: &Catalog, view: &View, par: Option<(&WorkerPool, usize
     // The maintenance mutex + shared base claims the caller holds keep the
     // log tables stable from the emptiness probe through the evaluation.
     let program = view.delta_program(catalog)?;
-    let mask = program.activity_mask(&|t| {
-        catalog.get(t).map(|tbl| tbl.is_empty()).unwrap_or(false)
-    });
+    let mask =
+        program.activity_mask(&|t| catalog.get(t).map(|tbl| tbl.is_empty()).unwrap_or(false));
     if mask == 0 {
         // Empty-log fast path: every log table is φ, so ▼/▲ are φ, the
         // Lemma-3 fold is the identity (strongification included — the DT
@@ -63,13 +64,18 @@ pub fn propagate(catalog: &Catalog, view: &View, par: Option<(&WorkerPool, usize
     if fresh {
         phase_end("CompileDelta", 0, t);
     }
-    // A root-γ program scans MV/∇MV/ΔMV (`PAST(L,Q)` under `INV_C`): they
-    // are pinned with *read* locks beside the base tables, which cannot
-    // wait on a writer — the maintenance mutex excludes this view's
-    // refresh, the only thing that write-locks them.
+    // A root-γ `P ∸ Q` program scans MV/∇MV/ΔMV (`PAST(L,Q)` under
+    // `INV_C`): they are pinned with *read* locks beside the base tables,
+    // which cannot wait on a writer — the maintenance mutex excludes this
+    // view's refresh, the only thing that write-locks them. A counted
+    // program reads base and log only, and folds `(▼E, ▲E)` into `S`.
     let (del_bag, ins_bag) =
         eval_variant_bound(catalog, &variant, &program.active_log_tables(mask), None)?;
     program.record_bind();
+    let (del_bag, ins_bag) = match program.counted() {
+        Some(count) => fold_counted(catalog, view, count, &del_bag, &ins_bag)?,
+        None => (del_bag, ins_bag),
+    };
 
     // Fold ▼/▲ into the differential tables (Lemma 3) and strongify if the
     // view demands it — all without the `MV` lock.

@@ -20,7 +20,8 @@ use crate::view::View;
 use dvm_algebra::eval::{eval, eval_pair as eval_plan_pair, ParamSource, PinnedState, SharedPlans};
 use dvm_algebra::infer::compile;
 use dvm_algebra::Expr;
-use dvm_delta::CompiledDeltaVariant;
+use dvm_delta::{CompiledDeltaVariant, CountedGamma};
+use dvm_obs::OpProf;
 use dvm_storage::{Bag, Catalog};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -124,6 +125,42 @@ pub(crate) fn eval_variant_bound(
         &variant.shared,
         &src,
     )?)
+}
+
+/// A counted program's input change `(▼E, ▲E)`, folded into `S`, as the
+/// view's `(▼, ▲)`. `S` is built first, from one pass over `PAST(L,E)`,
+/// when no earlier call left one (profiled as `AggStateBuild`); the fold
+/// is profiled as `AggFold` (rows in: folded, rows out: groups touched).
+/// A failed fold drops `S`.
+pub(crate) fn fold_counted(
+    catalog: &Catalog,
+    view: &View,
+    count: &CountedGamma,
+    del: &Bag,
+    ins: &Bag,
+) -> Result<(Bag, Bag)> {
+    let mut state = count.state();
+    let s = match state.as_mut() {
+        Some(s) => s,
+        None => {
+            let t = phase_start();
+            let log = view.log().expect("a counted view keeps a log");
+            let past = eval_expr(catalog, &log.past_subst().apply(count.input()))?;
+            phase_end("AggStateBuild", past.len(), t);
+            state.insert(count.build(&past))
+        }
+    };
+    let t = phase_start();
+    let folded = count.fold(s, del, ins);
+    if let (Some(t), Ok((_, _, touched))) = (t, &folded) {
+        let leaf = OpProf::leaf("AggFold", *touched as u64, t.elapsed().as_nanos() as u64);
+        dvm_obs::profile::record_eval(OpProf {
+            rows_in: del.len() + ins.len(),
+            ..leaf
+        });
+    }
+    let (old, new, _) = folded.inspect_err(|_| *state = None)?;
+    Ok((old, new))
 }
 
 /// Recompute the view definition from scratch (the non-incremental

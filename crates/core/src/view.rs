@@ -166,8 +166,10 @@ impl View {
     /// The view's compiled delta program: precompiled `▼(L,Q)/▲(L,Q)`
     /// plan pairs keyed by log-activity mask, so steady-state propagate
     /// binds parameters into a stored plan instead of re-deriving change
-    /// queries. A root-`γ` view's program is compiled against
-    /// [`materialized_past`](Self::materialized_past) and scans no log
+    /// queries. A root-`γ` view's program counts
+    /// ([`CompiledDeltaProgram::counted`]) when its aggregates are
+    /// invertible, and is otherwise compiled against
+    /// [`materialized_past`](Self::materialized_past), scanning no log
     /// table at all. Compiled on first call (against `provider`, which must
     /// resolve the view's base, log and own tables) and cached until
     /// [`View::invalidate_delta_program`]. Errors with `WrongScenario`
@@ -184,7 +186,7 @@ impl View {
         if let Some(p) = guard.as_ref() {
             return Ok(Arc::clone(p));
         }
-        let p = Arc::new(CompiledDeltaProgram::compile_with_past(
+        let p = Arc::new(CompiledDeltaProgram::compile_for_view(
             &self.definition,
             log,
             self.materialized_past(),
@@ -194,10 +196,12 @@ impl View {
         Ok(p)
     }
 
-    /// Drop the compiled delta program so the next maintenance operation
-    /// recompiles it. Call on any definition or base-schema change (in
-    /// this engine views are immutable, so today that means re-creation
-    /// flows and embedders evolving schemas out-of-band).
+    /// Drop the compiled delta program — and with it a counted view's
+    /// state `S` — so the next maintenance operation recompiles it. Call on
+    /// any definition or base-schema change (in this engine views are
+    /// immutable, so today that means re-creation flows and embedders
+    /// evolving schemas out-of-band) and after rewriting the view's tables
+    /// behind the engine's back (`Catalog::restore`).
     pub fn invalidate_delta_program(&self) {
         *self.delta_program.lock() = None;
     }

@@ -383,3 +383,335 @@ fn groups_vanish_and_reappear_through_the_bound_program() {
         assert_eq!(mv.len(), 4, "{v}: groups 1, 2, 3 and NULL");
     }
 }
+
+/// The `P ∸ Q` rule or counting, as chosen when `v`'s program compiled.
+fn counted(db: &Database, v: &str) -> bool {
+    let program = db.view(v).unwrap().delta_program(db.catalog()).unwrap();
+    program.counted().is_some()
+}
+
+/// Whether view `v`'s counted state `S` is built right now.
+fn built(db: &Database, v: &str) -> bool {
+    let program = db.view(v).unwrap().delta_program(db.catalog()).unwrap();
+    program.counted().is_some_and(|c| c.state().is_some())
+}
+
+/// A root-γ definition over table `d (a INT, b DOUBLE)`: random keys, a
+/// random nonempty subset of the six aggregate calls over `b`, and a `σ`
+/// on `a` half the time.
+fn double_agg_expr(rng: &mut Rng) -> Expr {
+    use dvm_algebra::{col, lit, AggCall, AggFunc, ColRef, Predicate};
+    let keys = match rng.below(3) {
+        0 => vec![ColRef::new("a")],
+        1 => vec![ColRef::new("b")],
+        _ => vec![ColRef::new("a"), ColRef::new("b")],
+    };
+    let b = || ColRef::new("b");
+    let mut aggs = vec![
+        AggCall::count_star(),
+        AggCall::new(AggFunc::Count, b()),
+        AggCall::new(AggFunc::Sum, b()),
+        AggCall::new(AggFunc::Avg, b()),
+        AggCall::new(AggFunc::Min, b()),
+        AggCall::new(AggFunc::Max, b()),
+    ];
+    rng.shuffle(&mut aggs);
+    aggs.truncate(1 + rng.below(5) as usize);
+    let input = if rng.chance(1, 2) {
+        Expr::table("d").select(Predicate::lt(col("a"), lit(rng.range(1, 4))))
+    } else {
+        Expr::table("d")
+    };
+    input.group_aggregate(keys, aggs)
+}
+
+/// A bag of `d` rows: `a` in `0..4` or NULL, `b` a half-integer (exact in
+/// binary, so every sum is the same whatever the order) or NULL.
+fn double_rows(rng: &mut Rng, n: u64) -> Bag {
+    use dvm_storage::{Tuple, Value};
+    let mut bag = Bag::new();
+    for _ in 0..rng.below(n + 1) {
+        let a = if rng.chance(1, 8) {
+            Value::Null
+        } else {
+            Value::Int(rng.range(0, 4))
+        };
+        let b = if rng.chance(1, 8) {
+            Value::Null
+        } else {
+            Value::Double(rng.range(0, 6) as f64 / 2.0)
+        };
+        bag.insert_n(Tuple::new(vec![a, b]), 1 + rng.below(2));
+    }
+    bag
+}
+
+/// The definition with its output columns in reverse order: a `Π` that
+/// permutes the `γ`'s columns (SQL's `SELECT SUM(b), a … GROUP BY a`).
+fn reversed(db: &Database, def: Expr) -> Expr {
+    let schema = dvm_algebra::infer_schema(&def, db.catalog()).unwrap();
+    let mut cols: Vec<String> = schema.columns().iter().map(|c| c.name.clone()).collect();
+    cols.reverse();
+    def.project(cols)
+}
+
+/// Groups of the `γ` `gamma` (its first `keys` columns) present before a
+/// transaction and gone after it.
+fn vanished(before: &Bag, after: &Bag, keys: usize) -> usize {
+    let groups = |b: &Bag| -> std::collections::HashSet<Vec<dvm_storage::Value>> {
+        b.iter().map(|(t, _)| t.values()[..keys].to_vec()).collect()
+    };
+    groups(before).difference(&groups(after)).count()
+}
+
+/// The fourth leg of the three-way differential: counted root-γ views.
+/// Random root-γ definitions over `Universe::mixed` (NULL keys and
+/// arguments, INT arguments), a third of them under a column-permuting
+/// `Π`, plus a quarter over a DOUBLE argument column, each maintained as
+/// BaseLog, Combined weak, Combined strong and on the shared log with
+/// `partial_refresh` interleaved. After every transaction and every
+/// maintenance step [`common::three_way`] checks the program's `(▼, ▲)` —
+/// counted `(▼E, ▲E)` folded into a copy of `S`, or `P ∸ Q` — against
+/// `post_update_deltas` from base and against the recompute diff, and
+/// that a built `S` renders `P`. Definitions whose aggregates are all
+/// invertible over INT must be counted, any MIN/MAX or SUM/AVG over DOUBLE
+/// must not. 80 definitions × 4 transactions.
+#[test]
+fn counted_views_match_from_base_deltas_and_recompute_diff() {
+    const VIEWS: [&str; 4] = ["v_bl", "v_c", "v_cs", "v_sh"];
+    let u = Universe::mixed(3);
+    let mut rng = Rng::new(0xA66_0030);
+    let (mut cases, mut attempts) = (0, 0);
+    // Non-vacuity: (counted views, P ∸ Q views, S builds, groups vanished,
+    // permuted counted views, DOUBLE-argument views)
+    let (mut n_counted, mut n_bound, mut builds, mut vanishes, mut n_perm, mut n_double) =
+        (0, 0, 0, 0, 0, 0);
+    while cases < 320 {
+        attempts += 1;
+        assert!(attempts < 2000, "generator starved");
+        let double = rng.chance(1, 4);
+        let mut gamma = if double {
+            double_agg_expr(&mut rng)
+        } else {
+            u.agg_expr(&mut rng, 2)
+        };
+        // Two thirds of the INT cases drop their MIN/MAX calls: counted.
+        if let Expr::GroupAggregate { aggs, .. } = &mut gamma {
+            if !double && rng.chance(2, 3) {
+                aggs.retain(|a| {
+                    !matches!(
+                        a.func,
+                        dvm_algebra::AggFunc::Min | dvm_algebra::AggFunc::Max
+                    )
+                });
+                if aggs.is_empty() {
+                    aggs.push(dvm_algebra::AggCall::count_star());
+                }
+            }
+        }
+        if gamma.to_string().contains("EXCEPT") {
+            continue;
+        }
+        let db = Database::new();
+        for t in &u.tables {
+            let table = db.create_table(t.clone(), u.schema.clone()).unwrap();
+            table.replace(u.bag(&mut rng, 5)).unwrap();
+        }
+        let d = db
+            .create_table(
+                "d",
+                dvm_storage::Schema::from_pairs(&[
+                    ("a", dvm_storage::ValueType::Int),
+                    ("b", dvm_storage::ValueType::Double),
+                ]),
+            )
+            .unwrap();
+        d.replace(double_rows(&mut rng, 6)).unwrap();
+        let permute = rng.chance(1, 3);
+        let def = if permute {
+            reversed(&db, gamma.clone())
+        } else {
+            gamma.clone()
+        };
+        let created = [
+            db.create_view("v_bl", def.clone(), Scenario::BaseLog),
+            db.create_view("v_c", def.clone(), Scenario::Combined),
+            db.create_view_with("v_cs", def.clone(), Scenario::Combined, Minimality::Strong),
+            db.create_view_shared("v_sh", def.clone(), Minimality::Weak),
+        ];
+        if created.iter().any(|r| r.is_err()) {
+            continue;
+        }
+        // The rule follows from the aggregates and argument types alone.
+        let Expr::GroupAggregate { aggs, keys, .. } = &gamma else {
+            unreachable!("agg_expr roots are γ")
+        };
+        use dvm_algebra::AggFunc;
+        let invertible = aggs.iter().all(|a| match a.func {
+            AggFunc::Count => true,
+            AggFunc::Sum | AggFunc::Avg => !double,
+            AggFunc::Min | AggFunc::Max => false,
+        });
+        for v in VIEWS {
+            assert_eq!(counted(&db, v), invertible, "{v} of {def}");
+            assert!(!built(&db, v), "{v}: S is lazy");
+        }
+        if invertible {
+            n_counted += 1;
+            n_perm += usize::from(permute);
+        } else {
+            n_bound += 1;
+        }
+        n_double += usize::from(double);
+        let check = |db: &Database, ctx: &str| {
+            for v in VIEWS {
+                common::three_way(db, v, &format!("{v} of {def}, {ctx}"));
+            }
+        };
+        let mut maintain =
+            |db: &Database, v: &str, op: fn(&Database, &str) -> dvm_core::Result<()>| {
+                let was = built(db, v);
+                op(db, v).unwrap();
+                builds += usize::from(!was && built(db, v));
+            };
+        let propagate = |db: &Database, v: &str| db.propagate(v);
+        let partial = |db: &Database, v: &str| db.partial_refresh(v);
+        let refresh = |db: &Database, v: &str| db.refresh(v);
+        for step in 0..4 {
+            cases += 1;
+            let before = db.eval(&gamma).unwrap();
+            let tx = if double {
+                let current = db.catalog().bag_of("d").unwrap();
+                let mut del = Bag::new();
+                for (t, m) in current.iter() {
+                    if rng.chance(1, 3) {
+                        del.insert_n(t.clone(), 1 + rng.below(m));
+                    }
+                }
+                if rng.chance(1, 4) {
+                    del = current;
+                }
+                Transaction::new()
+                    .delete("d", del)
+                    .insert("d", double_rows(&mut rng, 3))
+            } else {
+                churn_tx(&u, &mut rng, &db)
+            };
+            db.execute(&tx).unwrap();
+            vanishes += vanished(&before, &db.eval(&gamma).unwrap(), keys.len());
+            check(&db, &format!("after tx {step}"));
+            match rng.below(8) {
+                0 => maintain(&db, "v_bl", refresh),
+                1 | 2 => {
+                    for v in ["v_c", "v_cs", "v_sh"] {
+                        maintain(&db, v, propagate);
+                    }
+                }
+                3 => {
+                    for v in ["v_c", "v_cs", "v_sh"] {
+                        maintain(&db, v, propagate);
+                        maintain(&db, v, partial);
+                    }
+                }
+                4 => maintain(&db, "v_c", partial),
+                _ => {}
+            }
+            check(&db, &format!("after maintenance {step}"));
+            assert_invariants(&db, &format!("{def}, step {step}"));
+        }
+        for v in VIEWS {
+            maintain(&db, v, refresh);
+            assert_eq!(
+                db.query_view(v).unwrap(),
+                db.recompute_view(v).unwrap(),
+                "{v} after final refresh of {def}"
+            );
+            check(&db, "after final refresh");
+        }
+    }
+    eprintln!(
+        "counted views {n_counted} (permuted {n_perm}), P ∸ Q views {n_bound} \
+         (DOUBLE argument {n_double}); S builds {builds}; groups vanished {vanishes}"
+    );
+    assert!(
+        n_counted > 20 && n_bound > 20,
+        "counted {n_counted}, P ∸ Q {n_bound}"
+    );
+    assert!(n_perm > 5, "permuted counted views: {n_perm}");
+    assert!(n_double > 10, "DOUBLE-argument views: {n_double}");
+    assert!(builds > 100, "S builds: {builds}");
+    assert!(vanishes > 50, "groups vanished: {vanishes}");
+}
+
+/// A fold that cannot apply — here a row `S` lost through the test
+/// accessor, then deleted — is an error, not a panic: the call reports
+/// `Err` with nothing applied to `∇MV`/`ΔMV`/`MV` and the log kept, `S`
+/// is dropped, and the next call rebuilds it and lands on the truth. Under
+/// `propagate_C` and `refresh_BL` alike.
+#[test]
+fn a_fold_that_cannot_apply_errs_and_the_next_call_recovers() {
+    use dvm_algebra::{AggCall, AggFunc, ColRef};
+    use dvm_storage::tuple;
+    let u = Universe::small(1);
+    let db = Database::new();
+    let t0 = db.create_table("t0", u.schema.clone()).unwrap();
+    for row in [tuple![1, 10], tuple![1, 20], tuple![2, 5]] {
+        t0.insert(row).unwrap();
+    }
+    let def = Expr::table("t0").group_aggregate(
+        vec![ColRef::new("a")],
+        vec![
+            AggCall::count_star(),
+            AggCall::new(AggFunc::Sum, ColRef::new("b")),
+        ],
+    );
+    db.create_view("v_c", def.clone(), Scenario::Combined)
+        .unwrap();
+    db.create_view("v_bl", def, Scenario::BaseLog).unwrap();
+    db.execute(&Transaction::new().insert_tuple("t0", tuple![3, 1]))
+        .unwrap();
+    db.propagate("v_c").unwrap();
+    db.refresh("v_bl").unwrap();
+
+    for v in ["v_c", "v_bl"] {
+        let view = db.view(v).unwrap();
+        let program = view.delta_program(db.catalog()).unwrap();
+        let count = program.counted().expect("COUNT + SUM over INT");
+        count
+            .state()
+            .as_mut()
+            .expect("built by the first call")
+            .delete(&tuple![2, 5], 1)
+            .unwrap();
+        db.execute(&Transaction::new().delete_tuple("t0", tuple![2, 5]))
+            .unwrap();
+        let aux = |db: &Database| -> Vec<Bag> {
+            let tables = view.internal_tables();
+            tables
+                .iter()
+                .map(|t| db.catalog().bag_of(t).unwrap())
+                .collect()
+        };
+        let before = aux(&db);
+        let err = match v {
+            "v_c" => db.propagate(v),
+            _ => db.refresh(v),
+        };
+        assert!(err.is_err(), "{v}: the fold must fail");
+        assert!(count.state().is_none(), "{v}: S dropped");
+        assert_eq!(aux(&db), before, "{v}: nothing applied, the log kept");
+        assert_invariants(&db, &format!("{v} after the failed call"));
+        db.refresh(v).unwrap();
+        let program = view.delta_program(db.catalog()).unwrap();
+        assert!(
+            program.counted().unwrap().state().is_some(),
+            "{v}: S rebuilt"
+        );
+        assert_eq!(
+            db.query_view(v).unwrap(),
+            db.recompute_view(v).unwrap(),
+            "{v}"
+        );
+        assert_invariants(&db, &format!("{v} after recovery"));
+    }
+}

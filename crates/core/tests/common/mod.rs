@@ -1,15 +1,19 @@
-//! The three-way differential check for a root-`γ` view's bound delta
-//! program, shared by `aggregates.rs` and `recovery.rs`.
+//! The three-way differential check for a root-`γ` view's delta program —
+//! bound to `PAST(L,Q)` or counted — shared by `aggregates.rs` and
+//! `recovery.rs`.
 
 use dvm_algebra::eval::{eval_pair, PinnedState};
-use dvm_core::Database;
-use dvm_delta::post_update_deltas;
+use dvm_core::{Database, View};
+use dvm_delta::{post_update_deltas, CountedGamma};
+use dvm_storage::Bag;
 
 /// Compare, in the database's current state, the three derivations of
 /// `(▼(L,Q), ▲(L,Q))` for root-`γ` view `name`:
 ///
 /// 1. the stored program's plans, which read `PAST(L,Q)` off the view's
-///    own `MV`/`∇MV`/`ΔMV` — evaluated exactly as maintenance would;
+///    own `MV`/`∇MV`/`ΔMV` — evaluated exactly as maintenance would; or,
+///    for a counted view, its input's change `(▼E, ▲E)` folded into a copy
+///    of `S` (see [`counted_leg`]);
 /// 2. `post_update_deltas`, differentiated per call and evaluated from
 ///    base and log tables (the monus rule of `weak.rs`);
 /// 3. the diff of two recomputes, `PAST(L,Q) ∸ Q` and `Q ∸ PAST(L,Q)`,
@@ -48,6 +52,20 @@ pub fn three_way(db: &Database, name: &str, ctx: &str) -> Option<bool> {
     }
 
     let program = view.delta_program(catalog).unwrap();
+    let dt_nonempty = || {
+        let dt = view.diff_tables();
+        Some(dt.is_some_and(|(d, i)| rows(d) + rows(i) > 0))
+    };
+    if let Some(count) = program.counted() {
+        counted_leg(db, &view, count, (&past, &q), &want, ctx);
+        return dt_nonempty();
+    }
+    // A `Π` over a non-invertible `γ` keeps the differentiated program,
+    // which a shared view's staging tables cannot feed.
+    let bound = view.materialized_past().is_some();
+    if shared && !bound {
+        return dt_nonempty();
+    }
     let mask = if shared {
         program.all_active_mask()
     } else {
@@ -64,18 +82,74 @@ pub fn three_way(db: &Database, name: &str, ctx: &str) -> Option<bool> {
     let mut tables = variant.del.plan.tables();
     tables.extend(variant.ins.plan.tables());
     assert!(
-        tables.iter().all(|t| !t.contains("_log_")),
+        !bound || tables.iter().all(|t| !t.contains("_log_")),
         "{ctx}: the bound program scans a log table: {tables:?}"
     );
     let pinned = PinnedState::pin(catalog, &tables).unwrap();
-    let bound = eval_pair(
+    let deltas = eval_pair(
         &variant.del.plan,
         &variant.ins.plan,
         &variant.shared,
         &pinned,
     )
     .unwrap();
-    assert_eq!(bound, want, "{ctx}: bound ▼/▲ vs recompute diff");
-    let dt = view.diff_tables();
-    Some(dt.is_some_and(|(d, i)| rows(d) + rows(i) > 0))
+    assert_eq!(deltas, want, "{ctx}: program ▼/▲ vs recompute diff");
+    dt_nonempty()
+}
+
+/// The fourth leg, for a counted view: `S`, when built, renders `P`; and
+/// (private logs only — a shared view's log tables are a staging area)
+/// the program's `(▼E, ▲E)`, folded into a copy of `S` (or of a state
+/// freshly built from `PAST(L,E)` when `S` is not built yet), give exactly
+/// `want` and leave a state rendering `Q`. The program reads no table of
+/// the view's own.
+pub fn counted_leg(
+    db: &Database,
+    view: &View,
+    count: &CountedGamma,
+    (past, q): (&Bag, &Bag),
+    want: &(Bag, Bag),
+    ctx: &str,
+) {
+    let catalog = db.catalog();
+    let state = count.state().clone();
+    if let Some(s) = &state {
+        assert_eq!(&count.render(s), past, "{ctx}: render(S) vs P");
+    }
+    if db.is_shared_log_view(view.name()) {
+        return;
+    }
+    let program = view.delta_program(catalog).unwrap();
+    let mask = program.activity_mask(&|t| catalog.require(t).unwrap().is_empty());
+    if mask == 0 {
+        assert!(
+            want.0.is_empty() && want.1.is_empty(),
+            "{ctx}: empty log, non-empty change"
+        );
+        return;
+    }
+    let (variant, _) = program.variant(mask, catalog).unwrap();
+    let mut tables = variant.del.plan.tables();
+    tables.extend(variant.ins.plan.tables());
+    assert!(
+        tables
+            .iter()
+            .all(|t| t != view.mv_table() && !t.contains("_dt_")),
+        "{ctx}: the counted program scans the view's own tables: {tables:?}"
+    );
+    let pinned = PinnedState::pin(catalog, &tables).unwrap();
+    let (del_e, ins_e) = eval_pair(
+        &variant.del.plan,
+        &variant.ins.plan,
+        &variant.shared,
+        &pinned,
+    )
+    .unwrap();
+    let mut s = state.unwrap_or_else(|| {
+        let log = view.log().unwrap();
+        count.build(&db.eval(&log.past_subst().apply(count.input())).unwrap())
+    });
+    let (del, ins, _) = count.fold(&mut s, &del_e, &ins_e).unwrap();
+    assert_eq!(&(del, ins), want, "{ctx}: counted ▼/▲ vs recompute diff");
+    assert_eq!(&count.render(&s), q, "{ctx}: S after the fold vs Q");
 }

@@ -53,7 +53,8 @@ fn op_labels(db: &Database, op: &str) -> Vec<String> {
 #[test]
 fn steady_state_propagate_does_zero_symbolic_work() {
     let db = seeded_join_db();
-    db.create_view("vj", join_def(), Scenario::Combined).unwrap();
+    db.create_view("vj", join_def(), Scenario::Combined)
+        .unwrap();
 
     // --- warm path: a fully dirty log uses the eagerly compiled
     // all-active variant — no derivation, no compile, just binding ---
@@ -139,13 +140,25 @@ fn steady_state_propagate_does_zero_symbolic_work() {
 /// dvmbench's `bulk_refresh` in small: one transaction changes `sales`
 /// *and* `customer`, so every log of the join view `v` and of the
 /// aggregate view `v_agg` is active and no join side is a cacheable base
-/// build. Read off the profile trees, not a clock: `v_agg` aggregates
-/// once — `G(E)`; the past `G(η(E))` is its own rows, never a log scan —
-/// under `propagate_C` and under `refresh_BL` alike, and `v` builds its
-/// joins on the log sides (at most twice the logged rows, never a
-/// survivor of `sales`). Part of the one flag-dependent test body.
+/// build. Read off the profile trees, not a clock, at |sales| = 2 000 and
+/// 16 000 ([`bulk_cycle`]): `v_agg` is counted, so neither its
+/// `propagate_C` nor its twin's `refresh_BL` aggregates or scans `sales`
+/// or the view's own tables, and the work folded is the change — the same
+/// rows, groups and scans at both sizes. `v` builds its joins on the log
+/// sides (at most twice the logged rows, never a survivor of `sales`).
+/// Part of the one flag-dependent test body.
 fn propagate_work_follows_the_change_on_the_bulk_shape() {
+    let small = bulk_cycle(2_000);
+    let large = bulk_cycle(16_000);
+    assert_eq!(small, large, "the counted work does not grow with |sales|");
+}
+
+/// One profiled bulk-shaped cycle over `sales_rows` sales; returns, per
+/// aggregate view, the labels of the tables it scanned and its `AggFold`
+/// node's `(rows folded, groups touched)`.
+fn bulk_cycle(sales_rows: i64) -> Vec<(Vec<String>, (u64, u64))> {
     use dvm_algebra::{lit_str, AggCall, AggFunc, ColRef};
+    use std::collections::BTreeSet;
     let db = Database::new();
     let customer = db
         .create_table(
@@ -163,7 +176,7 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
         let score = if c % 10 == 0 { "High" } else { "Low" };
         customer.insert(tuple![c, score]).unwrap();
     }
-    for s in 0..2_000i64 {
+    for s in 0..sales_rows {
         sales.insert(tuple![s % 100, s]).unwrap();
     }
     let v = Expr::table("customer")
@@ -183,9 +196,16 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
         .unwrap();
     db.create_view("v_agg_bl", v_agg, Scenario::BaseLog)
         .unwrap();
+    for view in ["v_agg", "v_agg_bl"] {
+        let program = db.view(view).unwrap().delta_program(db.catalog()).unwrap();
+        assert!(
+            program.counted().is_some(),
+            "{view}: SUM over INT is counted"
+        );
+    }
 
-    // A first cycle leaves ∇MV/ΔMV of `v_agg` non-empty: the past the
-    // second propagate reads is all three of its tables.
+    // A first cycle builds `S` (one pass over `PAST(L,E)`) and leaves
+    // ∇MV/ΔMV of `v_agg` non-empty.
     let mut warm = Transaction::new();
     for s in 100..130i64 {
         warm = warm.delete_tuple("sales", tuple![s % 100, s]);
@@ -193,17 +213,15 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
     db.execute(&warm).unwrap();
     db.propagate("v").unwrap();
     db.propagate("v_agg").unwrap();
-    let past_rows: u64 = ["__mv_v_agg", "__v_agg_dt_del", "__v_agg_dt_ins"]
-        .iter()
-        .map(|t| db.catalog().require(t).unwrap().len())
-        .sum();
-    assert!(past_rows > 100, "∇MV ⊎ ΔMV non-empty at bind time");
+    db.refresh("v_agg_bl").unwrap();
 
     let mut tx = Transaction::new();
+    let mut groups = BTreeSet::new();
     for s in 0..60i64 {
         tx = tx
             .delete_tuple("sales", tuple![s % 100, s])
-            .insert_tuple("sales", tuple![(s * 7) % 100, 5_000 + s]);
+            .insert_tuple("sales", tuple![(s * 7) % 100, 5_000_000 + s]);
+        groups.extend([s % 100, (s * 7) % 100]);
     }
     for c in [0i64, 1, 10, 11] {
         let (old, new) = if c % 10 == 0 {
@@ -234,48 +252,47 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
         (found.len(), found.iter().map(|n| n.rows_out).sum::<u64>())
     };
 
+    let mut seen = Vec::new();
     for view in ["v_agg", "v_agg_bl"] {
         let agg = trees(view);
-        assert_eq!(count(&agg, "GroupAggregate").0, 1, "{view}: G(E), once");
+        let nodes: Vec<&dvm_obs::OpProf> = agg.iter().flat_map(|t| t.nodes()).collect();
+        assert!(
+            !nodes.iter().any(|n| n.label.starts_with("GroupAggregate")),
+            "{view} aggregated: {:?}",
+            nodes.iter().map(|n| &n.label).collect::<Vec<_>>()
+        );
         assert_eq!(
-            count(&agg, "GroupAggregate (shared)").0,
-            1,
-            "{view}: ▲ reuses it"
+            count(&agg, "AggStateBuild").0,
+            0,
+            "{view}: S was built by the warm cycle"
         );
-        let labels: Vec<&str> = agg
+        let scans: Vec<String> = nodes
             .iter()
-            .flat_map(|t| t.nodes())
-            .map(|n| n.label.as_str())
+            .filter(|n| n.label.starts_with("Scan "))
+            .map(|n| n.label.clone())
             .collect();
-        assert!(
-            !labels.iter().any(|l| l.contains("_log_")),
-            "{view} scanned a log table: {labels:?}"
+        for own in [
+            "sales",
+            "__mv_v_agg",
+            "__v_agg_dt_del",
+            "__v_agg_dt_ins",
+            "__mv_v_agg_bl",
+        ] {
+            assert!(
+                !scans.contains(&format!("Scan {own}")),
+                "{view} scanned {own}: {scans:?}"
+            );
+        }
+        let fold: Vec<_> = nodes.iter().filter(|n| n.label == "AggFold").collect();
+        assert_eq!(fold.len(), 1, "{view}: one fold");
+        assert_eq!(fold[0].rows_in, 120, "{view}: |▼E| + |▲E| rows folded");
+        assert_eq!(
+            fold[0].rows_out,
+            groups.len() as u64,
+            "{view}: groups touched"
         );
-        assert_eq!(count(&agg, "BindParams").1, 0, "{view}: no log bag copied");
-    }
-    // The P side of each `v_agg` change query — every scan but the one
-    // under γ — is fed by the view's own three tables, each read at most
-    // once per plan: |MV| + |∇MV| + |ΔMV| rows, whatever `sales` holds.
-    let own = [
-        "Scan __mv_v_agg",
-        "Scan __v_agg_dt_del",
-        "Scan __v_agg_dt_ins",
-    ];
-    for tree in trees("v_agg")
-        .iter()
-        .filter(|t| t.label.starts_with("Monus"))
-    {
-        let nodes = tree.nodes();
-        let scans = nodes.iter().filter(|n| n.label.starts_with("Scan "));
-        let (base, p_side): (Vec<&dvm_obs::OpProf>, Vec<&dvm_obs::OpProf>) =
-            scans.partition(|n| n.label == "Scan sales");
-        assert!(base.len() <= 1, "one pass over sales");
-        assert!(p_side.iter().all(|n| own.contains(&n.label.as_str())));
-        let p_rows: u64 = p_side.iter().map(|n| n.rows_out).sum();
-        assert!(
-            p_rows > 0 && p_rows <= past_rows,
-            "P read {p_rows} rows, {past_rows} are materialized"
-        );
+        let scans = scans.iter().map(|s| s.replace(view, "V")).collect();
+        seen.push((scans, (fold[0].rows_in, fold[0].rows_out)));
     }
     let join = trees("v");
     let (builds, built_rows) = count(&join, "JoinBuild");
@@ -295,6 +312,7 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
             db.recompute_view(view).unwrap()
         );
     }
+    seen
 }
 
 /// Repeated propagates over a one-sided insert stream: the stable side's
@@ -304,7 +322,8 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
 #[test]
 fn repeated_propagates_never_miss_build_cache_after_warmup() {
     let db = seeded_join_db();
-    db.create_view("vj", join_def(), Scenario::Combined).unwrap();
+    db.create_view("vj", join_def(), Scenario::Combined)
+        .unwrap();
 
     let run = |i: i64| {
         db.execute(&Transaction::new().insert_tuple("t0", tuple![i, i]))
@@ -383,7 +402,8 @@ fn recovery_rebuilds_compiled_programs_to_same_answers() {
                 .insert_tuple("t1", tuple![1, 10]),
         )
         .unwrap();
-        db.create_view("vj", join_def(), Scenario::Combined).unwrap();
+        db.create_view("vj", join_def(), Scenario::Combined)
+            .unwrap();
         db.execute(
             &Transaction::new()
                 .delete_tuple("t0", tuple![2, 2])

@@ -64,13 +64,15 @@ const OPS: &[Op] = &[
         db.create_table("s", schema_ab()).unwrap();
     }),
     ("view v_im", |db| {
-        db.create_view("v_im", def_r(), Scenario::Immediate).unwrap();
+        db.create_view("v_im", def_r(), Scenario::Immediate)
+            .unwrap();
     }),
     ("view v_bl", |db| {
         db.create_view("v_bl", def_r(), Scenario::BaseLog).unwrap();
     }),
     ("view v_dt", |db| {
-        db.create_view("v_dt", def_s(), Scenario::DiffTable).unwrap();
+        db.create_view("v_dt", def_s(), Scenario::DiffTable)
+            .unwrap();
     }),
     ("view v_c", |db| {
         db.create_view_with("v_c", def_union(), Scenario::Combined, Minimality::Strong)
@@ -222,7 +224,10 @@ fn assert_equiv(got: &Database, want: &Database, ctx: &str) {
         "{ctx}: shared log"
     );
     let failures = got.check_all_invariants().unwrap();
-    assert!(failures.is_empty(), "{ctx}: invariants broken: {failures:?}");
+    assert!(
+        failures.is_empty(),
+        "{ctx}: invariants broken: {failures:?}"
+    );
 }
 
 /// The acceptance bar beyond state equality: after recovery the engine must
@@ -242,7 +247,10 @@ fn assert_equiv_after_resume(got: &Database, want: &Database, ctx: &str) {
         );
     }
     let failures = got.check_all_invariants().unwrap();
-    assert!(failures.is_empty(), "{ctx}: post-resume invariants: {failures:?}");
+    assert!(
+        failures.is_empty(),
+        "{ctx}: post-resume invariants: {failures:?}"
+    );
 }
 
 fn wal_off() -> WalOptions {
@@ -293,7 +301,11 @@ fn torn_tail_matrix_recovers_at_every_crash_point() {
         let report = recovered.recovery_report().unwrap();
         assert_eq!(report.checkpoint_lsn, 0, "{ctx}");
         assert_eq!(report.wal_records_replayed, expect as u64, "{ctx}");
-        assert_eq!(report.wal_bytes_replayed, bounds[expect] - bounds[0], "{ctx}");
+        assert_eq!(
+            report.wal_bytes_replayed,
+            bounds[expect] - bounds[0],
+            "{ctx}"
+        );
         assert_eq!(report.torn_bytes_dropped, cut - bounds[expect], "{ctx}");
         assert_eq!(report.torn_bytes_dropped > 0, torn, "{ctx}");
 
@@ -336,7 +348,10 @@ fn power_loss_drops_exactly_the_unsynced_suffix() {
     let recovered = Database::open(&clone).unwrap();
     let report = recovered.recovery_report().unwrap();
     assert_eq!(report.wal_records_replayed, status.synced_lsn);
-    assert_eq!(report.torn_bytes_dropped, 0, "fsync boundary is a clean cut");
+    assert_eq!(
+        report.torn_bytes_dropped, 0,
+        "fsync boundary is a clean cut"
+    );
     let reference = twin(status.synced_lsn as usize);
     assert_equiv(&recovered, &reference, "power loss at fsync boundary");
     assert_equiv_after_resume(&recovered, &reference, "power loss at fsync boundary");
@@ -397,7 +412,11 @@ fn checkpoint_crash_points_recover() {
         let report = recovered.recovery_report().unwrap();
         assert_eq!(report.checkpoint_lsn, CKPT_AT as u64);
         assert_eq!(report.wal_records_replayed, (OPS.len() - CKPT_AT) as u64);
-        assert_equiv(&recovered, &twin(OPS.len()), "clean restart from checkpoint");
+        assert_equiv(
+            &recovered,
+            &twin(OPS.len()),
+            "clean restart from checkpoint",
+        );
         let _ = std::fs::remove_dir_all(&clone);
     }
 
@@ -486,7 +505,8 @@ fn vacuum_never_truncates_past_the_checkpoint() {
     let (status3, ckpt_lsn) = recovered.wal_status().unwrap();
     assert_eq!(status3.sealed_segments, 0, "checkpoint reclaims sealed WAL");
     assert!(ckpt_lsn > 0);
-    recovered.execute(&Transaction::new().insert_tuple("r", tuple![8, 8]))
+    recovered
+        .execute(&Transaction::new().insert_tuple("r", tuple![8, 8]))
         .unwrap();
     recovered.vacuum_shared_log();
     drop(recovered);
@@ -508,7 +528,10 @@ fn save_to_dir_then_open_roundtrips() {
     db.save_to_dir(&dir).unwrap();
     let reopened = Database::open(&dir).unwrap();
     let report = reopened.recovery_report().unwrap();
-    assert_eq!(report.wal_records_replayed, 0, "snapshot carries everything");
+    assert_eq!(
+        report.wal_records_replayed, 0,
+        "snapshot carries everything"
+    );
     assert_equiv(&reopened, &db, "save_to_dir roundtrip");
     assert!(reopened.is_durable() && !db.is_durable());
 
@@ -734,11 +757,20 @@ fn bound_program_is_rebuilt_against_the_recovered_view() {
     use dvm_algebra::testgen::{Rng, Universe};
     let u = Universe::mixed(2);
     let mut rng = Rng::new(0xA66_0021);
-    let (mut cases, mut dt_nonempty, mut attempts) = (0, 0, 0);
+    let (mut cases, mut dt_nonempty, mut attempts, mut counted) = (0, 0, 0, 0);
     while cases < 40 {
         attempts += 1;
         assert!(attempts < 400, "generator starved");
-        let def = u.agg_expr(&mut rng, 1);
+        let mut def = u.agg_expr(&mut rng, 1);
+        // Half the definitions drop their MIN/MAX calls, and are counted.
+        if let Expr::GroupAggregate { aggs, .. } = &mut def {
+            if rng.chance(1, 2) {
+                aggs.retain(|a| !matches!(a.func, AggFunc::Min | AggFunc::Max));
+                if aggs.is_empty() {
+                    aggs.push(AggCall::count_star());
+                }
+            }
+        }
         if def.to_string().contains("EXCEPT") {
             continue;
         }
@@ -829,15 +861,36 @@ fn bound_program_is_rebuilt_against_the_recovered_view() {
             let twin = Database::new();
             steps[..expect].iter().for_each(|s| s.run(&twin));
 
+            let s_built = |db: &Database, v: &str| {
+                let program = db.view(v).unwrap().delta_program(db.catalog()).unwrap();
+                program.counted().map(|c| c.state().is_some())
+            };
             for v in ["v_bl", "v_c"] {
                 let view = recovered.view(v).unwrap();
                 assert!(view.delta_program_stats().is_none(), "{ctx}: {v} is lazy");
                 let dt = common::three_way(&recovered, v, &format!("{v} of {ctx}"));
                 dt_nonempty += usize::from(dt == Some(true));
                 assert!(view.delta_program_stats().is_some(), "{ctx}: {v} compiled");
+                // A counted view's `S` is not recovered but rebuilt, lazily.
+                assert_ne!(s_built(&recovered, v), Some(true), "{ctx}: {v}'s S is lazy");
             }
+            let logged = recovered
+                .view("v_c")
+                .unwrap()
+                .internal_tables()
+                .iter()
+                .any(|t| {
+                    t.contains("_log_") && !recovered.catalog().require(t).unwrap().is_empty()
+                });
             for db in [&recovered, &twin] {
                 db.propagate("v_c").unwrap();
+            }
+            if let Some(built) = s_built(&recovered, "v_c") {
+                counted += 1;
+                assert_eq!(
+                    built, logged,
+                    "{ctx}: the first propagate with a log builds S"
+                );
             }
             common::three_way(&recovered, "v_c", &format!("v_c propagated, {ctx}"));
             assert_equiv(&recovered, &twin, &ctx);
@@ -857,4 +910,5 @@ fn bound_program_is_rebuilt_against_the_recovered_view() {
         dt_nonempty >= 10,
         "∇MV ⊎ ΔMV non-empty at bind time: {dt_nonempty}"
     );
+    assert!(counted >= 10, "counted cases: {counted}");
 }

@@ -22,17 +22,28 @@
 //!
 //! A view whose invariant already materializes `P = PAST(L,Q)` — `MV`
 //! under `INV_BL`, `(MV ∸ ∇MV) ⊎ ΔMV` under `INV_C` — can hand that
-//! expression in ([`CompiledDeltaProgram::compile_bound`]). The program is
-//! then the exact pair `▼ = P ∸ Q`, `▲ = Q ∸ P`: nothing is differentiated,
-//! no log table is scanned, and one variant serves every non-zero mask.
+//! expression in ([`CompiledDeltaProgram::compile_for_view`]). The program
+//! is then the exact pair `▼ = P ∸ Q`, `▲ = Q ∸ P`: nothing is
+//! differentiated, no log table is scanned, and one variant serves every
+//! non-zero mask.
+//!
+//! Such a view is instead *counted* ([`CountedGamma`]) when every aggregate
+//! of its root `γ(E)` (or of a `γ` under a column permutation) is
+//! invertible — `COUNT`, or `SUM`/`AVG` over INT: the program is `E`'s own
+//! `(▼E, ▲E)`, folded by the caller into a count state `S ≡ G(PAST(L,E))`
+//! whose touched groups' old and new rows are `P ∸ Q` / `Q ∸ P`, in
+//! O(|▼E| + |▲E|). MIN/MAX and DOUBLE arguments keep `P ∸ Q`.
 
 use crate::error::Result;
 use crate::incremental::LogTables;
 use crate::weak::differentiate;
-use dvm_algebra::infer::{compile, CompiledQuery, SchemaProvider};
+use dvm_algebra::infer::{
+    compile, compile_unoptimized, infer_schema, CompiledQuery, SchemaProvider,
+};
 use dvm_algebra::subst::FactoredSubstitution;
-use dvm_algebra::{Expr, SharedPlans};
-use dvm_testkit::sync::Mutex;
+use dvm_algebra::{AggFunc, Expr, GroupAggregateState, Plan, SharedPlans};
+use dvm_storage::{Bag, ValueType};
+use dvm_testkit::sync::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,15 +91,118 @@ struct LogEntry {
     ins_table: String,
 }
 
+/// The counting rule of a view whose root `γ` (or a column permutation of
+/// one) has only invertible aggregates — see the module docs. It owns `S`,
+/// the count-annotated state of `G(PAST(L,E))`: derived, in memory only,
+/// built by the first maintenance call and dropped with the program or by
+/// any error.
+#[derive(Debug)]
+pub struct CountedGamma {
+    input: Expr,
+    keys: Vec<usize>,
+    aggs: Vec<(AggFunc, Option<usize>)>,
+    /// The `Π` over the `γ`, as `γ` output positions in view column order.
+    perm: Option<Vec<usize>>,
+    state: Mutex<Option<GroupAggregateState>>,
+}
+
+impl CountedGamma {
+    /// The counting rule for `definition`, or `None` when it does not apply.
+    fn of(definition: &Expr, provider: &dyn SchemaProvider) -> Result<Option<Self>> {
+        let (gamma, cols) = match definition {
+            Expr::Project { cols, input } => (&**input, Some(cols)),
+            other => (other, None),
+        };
+        let Expr::GroupAggregate { input, .. } = gamma else {
+            return Ok(None);
+        };
+        let compiled = compile_unoptimized(gamma, provider)?;
+        let Plan::GroupAggregate { keys, aggs, .. } = compiled.plan else {
+            unreachable!("γ compiles to a GroupAggregate plan");
+        };
+        let args = infer_schema(input, provider)?;
+        let arg_ty = |arg: Option<usize>| arg.and_then(|i| args.column(i)).map(|c| c.ty);
+        let invertible = aggs.iter().all(|&(func, arg)| match func {
+            AggFunc::Count => true,
+            AggFunc::Sum | AggFunc::Avg => arg_ty(arg) == Some(ValueType::Int),
+            AggFunc::Min | AggFunc::Max => false,
+        });
+        let mut perm = Vec::new();
+        for c in cols.into_iter().flatten() {
+            perm.push(compiled.schema.resolve(c.qualifier.as_deref(), &c.name)?);
+        }
+        // A Π that drops a column merges groups: only a permutation counts.
+        let mut sorted = perm.clone();
+        sorted.sort_unstable();
+        let arity = compiled.schema.arity();
+        if !invertible || cols.is_some() && !sorted.into_iter().eq(0..arity) {
+            return Ok(None);
+        }
+        Ok(Some(CountedGamma {
+            input: (**input).clone(),
+            keys,
+            aggs,
+            perm: cols.map(|_| perm),
+            state: Mutex::new(None),
+        }))
+    }
+
+    /// `E`, the input of the `γ` — what the program's variants differentiate.
+    pub fn input(&self) -> &Expr {
+        &self.input
+    }
+
+    /// The state of `γ` over the input value `input`, in one pass.
+    pub fn build(&self, input: &Bag) -> GroupAggregateState {
+        GroupAggregateState::from_bag(self.keys.clone(), self.aggs.clone(), input)
+    }
+
+    /// The view rows state `s` stands for: `P`, while `s` is `S`.
+    pub fn render(&self, s: &GroupAggregateState) -> Bag {
+        self.permuted(s.render())
+    }
+
+    /// Fold the input change `(▼E, ▲E)` into `s`: the view's `(▼, ▲)` and
+    /// the number of groups touched. On `Err`, discard `s`.
+    pub fn fold(
+        &self,
+        s: &mut GroupAggregateState,
+        del: &Bag,
+        ins: &Bag,
+    ) -> Result<(Bag, Bag, usize)> {
+        let (old, new, touched) = s.fold(del, ins)?;
+        Ok((self.permuted(old), self.permuted(new), touched))
+    }
+
+    /// A permutation is injective on rows: permuting the `γ`'s change is
+    /// the view's change.
+    fn permuted(&self, rows: Bag) -> Bag {
+        match &self.perm {
+            Some(perm) => rows.iter().map(|(t, _)| t.project(perm)).collect(),
+            None => rows,
+        }
+    }
+
+    /// `S`: `None` until the first maintenance call builds it, and again
+    /// after an error drops it. Maintenance holds the guard across a fold;
+    /// tests inspect (and corrupt) `S` through it.
+    pub fn state(&self) -> MutexGuard<'_, Option<GroupAggregateState>> {
+        self.state.lock()
+    }
+}
+
 /// A view's precompiled delta program: the Figure 2 differentiation of its
 /// definition against its log substitution, stored as executable plans
 /// keyed by which log tables currently hold tuples. See the module docs.
 #[derive(Debug)]
 pub struct CompiledDeltaProgram {
+    /// What the variants differentiate: the definition, or a counted
+    /// view's `E`.
     definition: Expr,
     /// `PAST(L,Q)` over tables the caller's invariant keeps materialized,
     /// when it handed one in; `None` derives the past from base and log.
     past: Option<Expr>,
+    count: Option<CountedGamma>,
     /// Logged bases in sorted order — entry `i` owns mask bits `2i`
     /// (deletion log non-empty) and `2i+1` (insertion log non-empty).
     entries: Vec<LogEntry>,
@@ -113,20 +227,39 @@ impl CompiledDeltaProgram {
         log: &LogTables,
         provider: &dyn SchemaProvider,
     ) -> Result<Self> {
-        Self::compile_with_past(definition, log, None, provider)
+        Self::build(definition, log, None, None, provider)
     }
 
-    /// As [`compile`](Self::compile), for a caller that may hold the past
-    /// value materialized: `past`, when given, must evaluate to `PAST(L,Q)`
-    /// whenever the program runs. The change queries are then
-    /// `▼ = past ∸ Q` and `▲ = Q ∸ past` — Theorem 2 holds for them
-    /// pointwise, `(P ∸ (P ∸ Q)) ⊎ (Q ∸ P) = Q` and `P ∸ Q ⊑ P` — at the
-    /// cost of one evaluation of `Q`, which is what the monus rule of a
-    /// root `γ` pays *besides* rebuilding `P` from base and log.
-    pub fn compile_with_past(
+    /// The program of a log-keeping view, its rule fixed here by the
+    /// definition's aggregates and argument types: [counted](CountedGamma)
+    /// when they are invertible, else as [`compile`](Self::compile) — bound
+    /// to `past` when the caller holds the past value materialized. `past`,
+    /// when given, must evaluate to `PAST(L,Q)` whenever the program runs.
+    /// The change queries are then `▼ = past ∸ Q` and `▲ = Q ∸ past` —
+    /// Theorem 2 holds for them pointwise, `(P ∸ (P ∸ Q)) ⊎ (Q ∸ P) = Q`
+    /// and `P ∸ Q ⊑ P` — at the cost of one evaluation of `Q`, which is
+    /// what the monus rule of a root `γ` pays *besides* rebuilding `P` from
+    /// base and log.
+    pub fn compile_for_view(
         definition: &Expr,
         log: &LogTables,
         past: Option<Expr>,
+        provider: &dyn SchemaProvider,
+    ) -> Result<Self> {
+        match CountedGamma::of(definition, provider)? {
+            Some(count) => {
+                let input = count.input.clone();
+                Self::build(&input, log, None, Some(count), provider)
+            }
+            None => Self::build(definition, log, past, None, provider),
+        }
+    }
+
+    fn build(
+        definition: &Expr,
+        log: &LogTables,
+        past: Option<Expr>,
+        count: Option<CountedGamma>,
         provider: &dyn SchemaProvider,
     ) -> Result<Self> {
         let entries = log
@@ -143,6 +276,7 @@ impl CompiledDeltaProgram {
         let program = CompiledDeltaProgram {
             definition: definition.clone(),
             past,
+            count,
             entries,
             variants: Mutex::new(BTreeMap::new()),
             compiles: AtomicU64::new(0),
@@ -233,6 +367,12 @@ impl CompiledDeltaProgram {
             return Ok((Arc::clone(v), false));
         }
         Ok((self.compile_variant(mask, provider)?, true))
+    }
+
+    /// The counting rule, when the program follows it: its variants are
+    /// then `E`'s change queries, to be folded into the view's.
+    pub fn counted(&self) -> Option<&CountedGamma> {
+        self.count.as_ref()
     }
 
     /// The eagerly compiled all-active variant, if the view logs any base.
@@ -421,8 +561,7 @@ mod tests {
             }
             let program = CompiledDeltaProgram::compile(&q, &log, &provider).unwrap();
             let is_empty = |t: &str| state.get(t).map(|b| b.is_empty()).unwrap_or(false);
-            let fresh =
-                post_update_deltas_pruned(&q, &log, &provider, &is_empty).unwrap();
+            let fresh = post_update_deltas_pruned(&q, &log, &provider, &is_empty).unwrap();
             let ev = |e: &Expr| eval(&compile(e, &provider).unwrap().plan, &state).unwrap();
             let mask = program.activity_mask(&is_empty);
             if mask == 0 {
@@ -430,8 +569,16 @@ mod tests {
                 continue;
             }
             let (v, _) = program.variant(mask, &provider).unwrap();
-            assert_eq!(eval(&v.del.plan, &state).unwrap(), ev(&fresh.del), "▼ for {q}");
-            assert_eq!(eval(&v.ins.plan, &state).unwrap(), ev(&fresh.ins), "▲ for {q}");
+            assert_eq!(
+                eval(&v.del.plan, &state).unwrap(),
+                ev(&fresh.del),
+                "▼ for {q}"
+            );
+            assert_eq!(
+                eval(&v.ins.plan, &state).unwrap(),
+                ev(&fresh.ins),
+                "▲ for {q}"
+            );
         }
     }
 
@@ -440,9 +587,11 @@ mod tests {
         use dvm_algebra::{AggCall, ColRef};
         let u = Universe::small(2);
         let mut provider = provider_with_logs(&u);
-        let q = Expr::table("t0")
-            .union(Expr::table("t1"))
-            .group_aggregate(vec![ColRef::new("a")], vec![AggCall::count_star()]);
+        // MAX is not invertible: the view keeps the `P ∸ Q` program.
+        let q = Expr::table("t0").union(Expr::table("t1")).group_aggregate(
+            vec![ColRef::new("a")],
+            vec![AggCall::new(AggFunc::Max, ColRef::new("b"))],
+        );
         let q_plan = compile(&q, &provider).unwrap();
         provider.insert("mv".into(), q_plan.schema.clone());
         let mut state = u.state(&mut Rng::new(3), 4);
@@ -455,7 +604,8 @@ mod tests {
         let now = eval(&q_plan.plan, &state).unwrap();
 
         let mv = Some(Expr::table("mv"));
-        let p = CompiledDeltaProgram::compile_with_past(&q, &log, mv, &provider).unwrap();
+        let p = CompiledDeltaProgram::compile_for_view(&q, &log, mv, &provider).unwrap();
+        assert!(p.counted().is_none());
         let (v, fresh) = p.variant(0b10, &provider).unwrap();
         assert!(!fresh, "the eager variant serves the insert-only mask");
         let (full, _) = p.variant(p.all_active_mask(), &provider).unwrap();
@@ -468,6 +618,61 @@ mod tests {
         assert_eq!(eval(&v.del.plan, &state).unwrap(), past.monus(&now));
         assert_eq!(eval(&v.ins.plan, &state).unwrap(), now.monus(&past));
         assert_eq!(now.monus(&past).len(), 1);
+    }
+
+    #[test]
+    fn invertible_root_aggregates_are_counted_over_their_input() {
+        use dvm_algebra::{AggCall, ColRef};
+        use dvm_storage::ValueType;
+        let u = Universe::small(1);
+        let mut provider = provider_with_logs(&u);
+        provider.insert(
+            "d".into(),
+            Schema::from_pairs(&[("a", ValueType::Int), ("b", ValueType::Double)]),
+        );
+        let mut state = u.state(&mut Rng::new(4), 4);
+        let log = empty_logs(&u, &mut state);
+        let gamma = |table: &str, func| {
+            Expr::table(table).group_aggregate(
+                vec![ColRef::new("a")],
+                vec![AggCall::count_star(), AggCall::new(func, ColRef::new("b"))],
+            )
+        };
+        let program =
+            |q: &Expr| CompiledDeltaProgram::compile_for_view(q, &log, None, &provider).unwrap();
+
+        let sum = gamma("t0", AggFunc::Sum);
+        let p = program(&sum);
+        let count = p.counted().expect("COUNT + SUM over INT is invertible");
+        assert_eq!(count.input(), &Expr::table("t0"));
+        let v = p.full_variant().unwrap();
+        let tables = v.del.plan.tables();
+        assert!(
+            tables.iter().all(|t| t.contains("_log_")),
+            "▼E reads the log: {tables:?}"
+        );
+
+        // S folds the input change into exactly the view's change.
+        let before = state["t0"].clone();
+        let (del, ins) = (before.clone(), Bag::singleton(tuple![9, 9]));
+        let mut s = count.build(&before);
+        let (old, new, touched) = count.fold(&mut s, &del, &ins).unwrap();
+        let plan = compile(&sum, &provider).unwrap().plan;
+        let at = |t0: Bag| eval(&plan, &HashMap::from([("t0".to_string(), t0)])).unwrap();
+        assert_eq!(old, at(before.clone()));
+        assert_eq!(new, at(ins.clone()));
+        assert_eq!(count.render(&s), new);
+        assert_eq!(touched, at(before.union(&ins)).len() as usize);
+
+        // The output permuted by Π keeps the rule; a Π that drops a column,
+        // MIN/MAX and DOUBLE arguments do not.
+        let permuted = sum.clone().project(["sum_b", "count", "a"]);
+        assert!(program(&permuted).counted().is_some());
+        assert!(program(&sum.clone().project(["a", "sum_b"]))
+            .counted()
+            .is_none());
+        assert!(program(&gamma("t0", AggFunc::Min)).counted().is_none());
+        assert!(program(&gamma("d", AggFunc::Avg)).counted().is_none());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod strong;
 pub mod transaction;
 pub mod weak;
 
-pub use compile::{CompiledDeltaProgram, CompiledDeltaVariant, DeltaProgramStats};
+pub use compile::{CompiledDeltaProgram, CompiledDeltaVariant, CountedGamma, DeltaProgramStats};
 pub use compose::{compose, compose_into};
 pub use error::{DeltaError, Result};
 pub use incremental::{

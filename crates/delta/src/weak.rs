@@ -204,12 +204,13 @@ fn del_add(
         // between Del and Add). It is the engine's path where nothing
         // holds `P` materialized: γ below a join/σ/Π, and the pre-update
         // `T̂` direction (Immediate, DiffTable makesafe). A log-keeping
-        // view whose *root* is γ never reaches it — its invariant holds
-        // `P = PAST(L,Q)` as the view's own rows, and
-        // `CompiledDeltaProgram::compile_with_past` builds the same two
-        // monus queries over that. The count-annotated
-        // `GroupAggregateState`, which would be O(|Δ|), is run by nothing
-        // but the `exp_agg` experiment.
+        // view whose *root* is γ never reaches it. With invertible
+        // aggregates it is counted: `CompiledDeltaProgram::compile_for_view`
+        // differentiates `E` alone and the caller folds `(▼E, ▲E)` into the
+        // per-group state `CountedGamma` keeps, in O(|Δ|). Otherwise
+        // (MIN/MAX, DOUBLE arguments) its invariant holds `P = PAST(L,Q)`
+        // as the view's own rows and the program is these two monus
+        // queries over that.
         Expr::GroupAggregate { .. } => {
             let tables = q.tables();
             if !eta.tables().any(|t| tables.contains(t)) {

@@ -71,6 +71,13 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+impl FromIterator<Value> for Tuple {
+    /// One allocation when the iterator knows its length.
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        Tuple(iter.into_iter().collect())
+    }
+}
+
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;

@@ -65,12 +65,6 @@ echo "    OK: fault-injection suite green; recovered database refreshes correctl
 echo "==> streaming executor experiment smoke"
 cargo run --release --offline -q -p dvm-bench --bin exp_eval -- --test
 
-# Aggregate maintenance smoke: the incremental-vs-recompute ablation must
-# run with its differential oracle checks intact (snapshot ≡ recompute
-# after every measured delta).
-echo "==> incremental aggregate experiment smoke"
-cargo run --release --offline -q -p dvm-bench --bin exp_agg -- --test
-
 # Maintenance profiler smoke: the coverage gate must hold — with
 # profiling on, per-operator nanos (operator trees + phase timers) must
 # explain 80%–120% of each propagate's observed wall time — and the
@@ -114,8 +108,6 @@ cargo test -q --offline -p dvm-bench --test json_schema
 # (release build; widen with OBS_GUARD_TOLERANCE=0.15 on noisy hosts).
 # obs_guard also enforces the streaming executor's recorded speedups in
 # results/BENCH_eval.json (fused ≥2x on filter-project, ≥1.3x on propagate),
-# the incremental-aggregate speedup in results/BENCH_agg.json (the
-# count-annotated maintainer ≥5x over full recompute at delta 1000),
 # the group-commit speedup in results/BENCH_ingest.json (the CDC
 # pipeline ≥3x over per-op execute under Always fsync), and
 # the parallel-propagate series in results/BENCH_concurrent.json:
