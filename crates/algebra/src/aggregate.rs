@@ -398,6 +398,27 @@ impl GroupAggregateState {
         Ok((old, new, touched))
     }
 
+    /// [`fold`](Self::fold) into copies of the groups `del ⊎ ins` touch,
+    /// leaving `self` as it was: the same `(old, new, touched)`, at the
+    /// cost of those groups only.
+    pub fn fold_touched(&self, del: &Bag, ins: &Bag) -> Result<(Bag, Bag, usize)> {
+        let groups = FxHashMap::default();
+        let (keys, aggs) = (self.keys.clone(), self.aggs.clone());
+        let mut copy = GroupAggregateState { keys, aggs, groups };
+        let mut key = Vec::with_capacity(self.keys.len());
+        for (t, _) in del.iter().chain(ins.iter()) {
+            self.key_into(&mut key, t);
+            match self.groups.get(key.as_slice()) {
+                Some(g) if !copy.groups.contains_key(key.as_slice()) => {
+                    copy.groups
+                        .insert(key.clone().into_boxed_slice(), g.clone());
+                }
+                _ => {}
+            }
+        }
+        copy.fold(del, ins)
+    }
+
     /// One group's output row, `None` when the group is empty.
     fn row(&self, key: &[Value]) -> Option<Tuple> {
         let g = self.groups.get(key)?;
@@ -498,6 +519,12 @@ mod tests {
         let rows = [(tuple![1, 10], 1), (tuple![1, 20], 1)];
         let mut m = state(vec![(AggFunc::Min, Some(1))], &rows);
         assert!(m.delete(&tuple![1, 20], 1).is_err());
+        let m = state(vec![(AggFunc::Min, Some(1))], &rows);
+        let before = m.render();
+        assert!(m
+            .fold_touched(&Bag::singleton(tuple![1, 20]), &Bag::new())
+            .is_err());
+        assert_eq!(m.render(), before, "a failed copy fold leaves the state");
     }
 
     #[test]
@@ -553,7 +580,10 @@ mod tests {
                     ins.insert_n(Tuple::new(vec![Value::Int(a), b]), 1 + rng.below(3));
                 }
                 let before = state.render();
+                let copied = state.fold_touched(&del, &ins).unwrap();
+                assert_eq!(state.render(), before, "fold_touched leaves the state");
                 let (old, new, touched) = state.fold(&del, &ins).unwrap();
+                assert_eq!(copied, (old.clone(), new.clone(), touched));
                 base.apply_delta(&del, &ins);
                 let after = state.render();
                 assert_eq!(after, group_aggregate_bag(&base, &[0], &aggs));

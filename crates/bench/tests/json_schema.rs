@@ -85,8 +85,35 @@ fn check_staleness(v: &Value, ctx: &str) {
     );
 }
 
-/// An `Observability::to_json` document.
+/// An `Observability::to_json` document. Its `schema_version` (1 when
+/// absent: artifacts recorded before the field existed) may not be newer
+/// than the engine's; from version 2 on it carries per-table lock waits.
 fn check_observability(v: &Value, ctx: &str) {
+    let version = match v.get("schema_version") {
+        Some(_) => require_num(v, "schema_version", ctx),
+        None => 1.0,
+    };
+    assert!(
+        (1.0..=dvm_core::obs::SCHEMA_VERSION as f64).contains(&version),
+        "{ctx}: unknown schema version {version}"
+    );
+    let tables = if version >= 2.0 {
+        require(v, "tables", ctx)
+            .as_arr()
+            .unwrap_or_else(|| panic!("{ctx}: `tables` is not an array"))
+    } else {
+        &[]
+    };
+    for table in tables {
+        let name = require(table, "table", ctx)
+            .as_str()
+            .unwrap_or_else(|| panic!("{ctx}: `table` is not a string"))
+            .to_string();
+        for hist in ["write_wait", "read_wait"] {
+            let tctx = format!("{ctx}/table {name}/{hist}");
+            check_histogram(require(table, hist, &tctx), &tctx);
+        }
+    }
     let views = require(v, "views", ctx)
         .as_arr()
         .unwrap_or_else(|| panic!("{ctx}: `views` is not an array"));
@@ -511,5 +538,16 @@ fn observability_snapshot_passes_its_own_schema() {
     db.refresh("V").unwrap();
     let text = db.observability().to_json();
     let doc = json::parse(&text).expect("registry export parses");
+    assert_eq!(
+        doc.get("schema_version").and_then(Value::as_f64),
+        Some(dvm_core::obs::SCHEMA_VERSION as f64),
+        "a live export is at the engine's schema version"
+    );
     check_observability(&doc, "live");
+    let tables = doc.get("tables").and_then(Value::as_arr).unwrap();
+    let names: Vec<_> = tables
+        .iter()
+        .filter_map(|t| t.get("table")?.as_str())
+        .collect();
+    assert!(names.contains(&"sales"), "base tables reported: {names:?}");
 }

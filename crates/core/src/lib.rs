@@ -37,8 +37,8 @@ pub use epochlog::SharedLog;
 pub use error::{CoreError, Result};
 pub use invariant::{check_view, InvariantReport};
 pub use metrics::{ViewHistograms, ViewMetrics, ViewMetricsSnapshot};
-pub use obs::{IngestGauges, Observability, StalenessGauges, ViewObservability};
+pub use obs::{IngestGauges, Observability, StalenessGauges, TableLockWaits, ViewObservability};
 pub use policy::{PolicyDriver, RefreshPolicy, TickActions};
 pub use profile::{MaintProfile, ProfileReport};
-pub use readthrough::{read_through, read_through_where};
+pub use readthrough::read_through;
 pub use view::{Minimality, Scenario, View};

@@ -16,12 +16,22 @@
 //!   its last refresh;
 //! * **auxiliary footprint** — log and differential-table tuple counts
 //!   (the space the deferral is buying time with).
+//!
+//! Per base table, the lock's write-wait and read-wait distributions: how
+//! long commits waited for readers that pinned the table, and the reverse.
+//!
+//! The JSON document carries [`SCHEMA_VERSION`]; a change to its shape
+//! bumps it.
 
 use crate::metrics::{ViewHistograms, ViewMetricsSnapshot};
 use dvm_delta::DeltaProgramStats;
 use dvm_obs::json;
 use dvm_obs::{fmt_nanos, HistogramSnapshot, TableReport};
 use dvm_storage::lock::LockMetricsSnapshot;
+
+/// Version of [`Observability::to_json`]'s document shape. 2: per-table
+/// lock waits (`tables`).
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// How far behind one view is (all zero / `None` for a view that cannot
 /// lag, e.g. [`Scenario::Immediate`](crate::Scenario::Immediate)).
@@ -114,11 +124,26 @@ pub struct ViewObservability {
     pub delta_program: Option<DeltaProgramStats>,
 }
 
+/// Lock waits on one base table.
+#[derive(Debug, Clone)]
+pub struct TableLockWaits {
+    /// Table name.
+    pub name: String,
+    /// Write-wait distribution: each sample is one writer (a commit's base
+    /// apply) waiting for the table's readers to let go.
+    pub write_wait: HistogramSnapshot,
+    /// Read-wait distribution: each sample is one reader waiting out a
+    /// writer.
+    pub read_wait: HistogramSnapshot,
+}
+
 /// The full registry snapshot.
 #[derive(Debug, Clone)]
 pub struct Observability {
     /// Per-view reports, in name order.
     pub views: Vec<ViewObservability>,
+    /// Per-base-table lock waits, in name order.
+    pub tables: Vec<TableLockWaits>,
     /// Shared-log retained entries (all tables).
     pub shared_log_entries: u64,
     /// Shared-log retained tuple volume.
@@ -188,11 +213,17 @@ impl ViewObservability {
 impl Observability {
     /// The whole registry as one JSON document.
     pub fn to_json(&self) -> String {
+        let tables = self.tables.iter().map(|t| {
+            json::object([
+                ("table", json::string(&t.name)),
+                ("write_wait", t.write_wait.to_json()),
+                ("read_wait", t.read_wait.to_json()),
+            ])
+        });
         let mut fields = vec![
-            (
-                "views",
-                json::array(self.views.iter().map(|v| v.to_json())),
-            ),
+            ("schema_version", json::num_u(SCHEMA_VERSION)),
+            ("views", json::array(self.views.iter().map(|v| v.to_json()))),
+            ("tables", json::array(tables)),
             (
                 "shared_log",
                 json::object([
@@ -362,6 +393,11 @@ mod tests {
                 },
                 delta_program: None,
             }],
+            tables: vec![TableLockWaits {
+                name: "r".into(),
+                write_wait: hist.snapshot(),
+                read_wait: HistogramSnapshot::default(),
+            }],
             shared_log_entries: 2,
             shared_log_volume: 5,
             shared_log_epoch: 7,
@@ -384,6 +420,11 @@ mod tests {
         let v = json::parse(&doc).unwrap();
         let views = v.get("views").unwrap().as_arr().unwrap();
         assert_eq!(views.len(), 1);
+        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(2.0));
+        let tables = v.get("tables").unwrap().as_arr().unwrap();
+        assert_eq!(tables[0].get("table").unwrap().as_str(), Some("r"));
+        let ww = tables[0].get("write_wait").unwrap();
+        assert_eq!(ww.get("sum_ns").unwrap().as_f64(), Some(3_000.0));
         let view = &views[0];
         assert_eq!(view.get("view").unwrap().as_str().unwrap(), "v");
         let ms = view.get("makesafe").unwrap();
@@ -493,6 +534,9 @@ mod tests {
         assert!(!obs.render().contains("trace:"), "baseline shows no trace");
         obs.trace_dropped = 9;
         let s = obs.render();
-        assert!(s.contains("trace: off, 0 events retained, 9 dropped"), "{s}");
+        assert!(
+            s.contains("trace: off, 0 events retained, 9 dropped"),
+            "{s}"
+        );
     }
 }

@@ -1,11 +1,71 @@
-//! The three-way differential check for a root-`γ` view's delta program —
-//! bound to `PAST(L,Q)` or counted — shared by `aggregates.rs` and
-//! `recovery.rs`.
+//! Checks shared by the engine's test crates: the three-way differential
+//! for a root-`γ` view's delta program — bound to `PAST(L,Q)` or counted —
+//! (`aggregates.rs`, `recovery.rs`), and the read path against the truth
+//! (those and `sharedlog.rs`).
+
+// Each test crate uses a subset of these helpers.
+#![allow(dead_code)]
 
 use dvm_algebra::eval::{eval_pair, PinnedState};
+use dvm_algebra::{col, lit, Predicate};
+use dvm_core::readthrough::recompute_where;
 use dvm_core::{Database, View};
 use dvm_delta::{post_update_deltas, CountedGamma};
-use dvm_storage::Bag;
+use dvm_storage::{Bag, Value};
+
+/// The read path against the truth, for any view: `read_through` ≡
+/// `recompute_view`, and `read_through_where(p)` ≡ `recompute_where(p)`
+/// for `p` an equality on the view's first column with a (non-NULL, when
+/// there is one) value a current row holds. Neither call may change
+/// anything observable: the view's tables — `MV`, `∇MV`, `ΔMV` and every
+/// log table — stay bag-equal, and so does `render(S)` when a counted
+/// view had built `S`. Returns whether the calls built `S`.
+pub fn read_through_exact(db: &Database, name: &str, ctx: &str) -> bool {
+    let view = db.view(name).unwrap();
+    let catalog = db.catalog();
+    let tables = || -> Vec<Bag> {
+        let names = view.internal_tables();
+        names.iter().map(|t| catalog.bag_of(t).unwrap()).collect()
+    };
+    // `None`: not counted; `Some(None)`: `S` not built.
+    let state = || -> Option<Option<Bag>> {
+        view.log()?;
+        let program = view.delta_program(catalog).unwrap();
+        let count = program.counted()?;
+        let rendered = count.state().as_ref().map(|s| count.render(s));
+        Some(rendered)
+    };
+    let (before, s_before) = (tables(), state());
+
+    let truth = db.recompute_view(name).unwrap();
+    let fresh = db.read_through(name).unwrap();
+    assert_eq!(fresh, truth, "{ctx}: read_through vs recompute");
+    let values: Vec<Value> = truth.iter().map(|(t, _)| t[0].clone()).collect();
+    let value = values
+        .iter()
+        .find(|v| !v.is_null())
+        .or(values.first())
+        .cloned()
+        .unwrap_or(Value::Int(0));
+    let column = view.mv_schema().columns()[0].name.clone();
+    let pred = Predicate::eq(col(&column), lit(value));
+    assert_eq!(
+        db.read_through_where(name, &pred).unwrap(),
+        recompute_where(catalog, &view, &pred).unwrap(),
+        "{ctx}: read_through_where({pred}) vs recompute_where"
+    );
+
+    assert_eq!(tables(), before, "{ctx}: read-through changed a table");
+    let s_after = state();
+    if let Some(Some(s)) = &s_before {
+        assert_eq!(
+            s_after,
+            Some(Some(s.clone())),
+            "{ctx}: read-through changed S"
+        );
+    }
+    matches!((s_before, s_after), (Some(None), Some(Some(_))))
+}
 
 /// Compare, in the database's current state, the three derivations of
 /// `(▼(L,Q), ▲(L,Q))` for root-`γ` view `name`:

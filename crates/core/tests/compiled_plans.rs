@@ -146,7 +146,11 @@ fn steady_state_propagate_does_zero_symbolic_work() {
 /// or the view's own tables, and the work folded is the change — the same
 /// rows, groups and scans at both sizes. `v` builds its joins on the log
 /// sides (at most twice the logged rows, never a survivor of `sales`).
-/// Part of the one flag-dependent test body.
+/// Then, with only the `sales` logs non-empty, one
+/// `read_through_where(custId = k)` on `v` and on `v_agg` runs the stored
+/// variant for that mask: neither scans `sales` (its `TableStats::scans`
+/// stay put), `v_agg` aggregates nothing, and both scan the same tables at
+/// both sizes. Part of the one flag-dependent test body.
 fn propagate_work_follows_the_change_on_the_bulk_shape() {
     let small = bulk_cycle(2_000);
     let large = bulk_cycle(16_000);
@@ -154,8 +158,9 @@ fn propagate_work_follows_the_change_on_the_bulk_shape() {
 }
 
 /// One profiled bulk-shaped cycle over `sales_rows` sales; returns, per
-/// aggregate view, the labels of the tables it scanned and its `AggFold`
-/// node's `(rows folded, groups touched)`.
+/// aggregate view's maintenance and per read-through, the labels of the
+/// tables it scanned and its `AggFold` node's `(rows folded, groups
+/// touched)` (`(0, 0)` for the join view's read).
 fn bulk_cycle(sales_rows: i64) -> Vec<(Vec<String>, (u64, u64))> {
     use dvm_algebra::{lit_str, AggCall, AggFunc, ColRef};
     use std::collections::BTreeSet;
@@ -312,6 +317,47 @@ fn bulk_cycle(sales_rows: i64) -> Vec<(Vec<String>, (u64, u64))> {
             db.recompute_view(view).unwrap()
         );
     }
+
+    // Only `sales` changes: the read-throughs bind its logs.
+    let mut tx = Transaction::new();
+    for s in 60..80i64 {
+        tx = tx
+            .delete_tuple("sales", tuple![s % 100, s])
+            .insert_tuple("sales", tuple![11, 6_000_000 + s]);
+    }
+    db.execute(&tx).unwrap();
+    let sales_scans = || sales.stats().snapshot().scans;
+    let who = Predicate::eq(col("custId"), dvm_algebra::lit(11i64));
+    db.set_profiling(true);
+    for view in ["v", "v_agg"] {
+        let _ = dvm_obs::profile::take_captured();
+        let scans_before = sales_scans();
+        let fresh = db.read_through_where(view, &who).unwrap();
+        let trees = dvm_obs::profile::take_captured().evals;
+        assert_eq!(
+            sales_scans(),
+            scans_before,
+            "{view}: the read scanned sales"
+        );
+        let truth = db.recompute_view(view).unwrap();
+        assert_eq!(fresh, truth.select(|t| t[0] == dvm_storage::Value::Int(11)));
+        assert!(!fresh.is_empty(), "{view}: customer 11's slice");
+        let nodes: Vec<&dvm_obs::OpProf> = trees.iter().flat_map(|t| t.nodes()).collect();
+        assert!(
+            !nodes.iter().any(|n| n.label.starts_with("GroupAggregate")),
+            "{view}'s read aggregated"
+        );
+        let mut scans: Vec<String> = nodes
+            .iter()
+            .filter(|n| n.label.starts_with("Scan "))
+            .map(|n| n.label.clone())
+            .collect();
+        scans.sort();
+        assert!(!scans.is_empty(), "{view}: the read ran the variant");
+        let fold = nodes.iter().find(|n| n.label == "AggFold");
+        seen.push((scans, fold.map_or((0, 0), |n| (n.rows_in, n.rows_out))));
+    }
+    db.set_profiling(false);
     seen
 }
 

@@ -874,6 +874,10 @@ fn bound_program_is_rebuilt_against_the_recovered_view() {
                 // A counted view's `S` is not recovered but rebuilt, lazily.
                 assert_ne!(s_built(&recovered, v), Some(true), "{ctx}: {v}'s S is lazy");
             }
+            // The recovered `v_bl` is read before any maintenance: a
+            // counted one's `S` is built by the read (`v_c`'s is left for
+            // the propagate below to build).
+            common::read_through_exact(&recovered, "v_bl", &format!("v_bl of {ctx}"));
             let logged = recovered
                 .view("v_c")
                 .unwrap()
@@ -893,6 +897,7 @@ fn bound_program_is_rebuilt_against_the_recovered_view() {
                 );
             }
             common::three_way(&recovered, "v_c", &format!("v_c propagated, {ctx}"));
+            common::read_through_exact(&recovered, "v_c", &format!("v_c propagated, {ctx}"));
             assert_equiv(&recovered, &twin, &ctx);
             for db in [&recovered, &twin] {
                 db.refresh_all().unwrap();

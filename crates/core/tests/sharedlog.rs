@@ -2,6 +2,8 @@
 //! the central property — per-transaction maintenance work independent of
 //! the number of views.
 
+mod common;
+
 use dvm_algebra::testgen::{Rng, Universe};
 use dvm_core::{Database, Minimality};
 use dvm_delta::Transaction;
@@ -46,8 +48,10 @@ fn shared_views_preserve_invariants_under_random_streams() {
         db.create_view_shared("s2", def.clone(), Minimality::Strong)
             .unwrap();
         // a private-log twin over the same definition, as a correctness
-        // reference
+        // reference, and a BaseLog one refreshed only at the end
         db.create_view("p", def.clone(), dvm_core::Scenario::Combined)
+            .unwrap();
+        db.create_view("b", def.clone(), dvm_core::Scenario::BaseLog)
             .unwrap();
         runs += 1;
 
@@ -72,8 +76,11 @@ fn shared_views_preserve_invariants_under_random_streams() {
                 db.recompute_view("s1").unwrap(),
                 "read-through on shared view"
             );
+            for v in ["s1", "s2", "p", "b"] {
+                common::read_through_exact(&db, v, &format!("{v} of {def}, step {step}"));
+            }
         }
-        for v in ["s1", "s2", "p"] {
+        for v in ["s1", "s2", "p", "b"] {
             db.refresh(v).unwrap();
             assert_eq!(
                 db.query_view(v).unwrap(),
@@ -195,6 +202,9 @@ fn staggered_cursors_remain_individually_correct() {
     assert!(db.query_view("b").unwrap().contains(&tuple![2, 2]));
     assert!(db.check_invariant("a").unwrap().ok());
     assert!(db.check_invariant("b").unwrap().ok());
+    // `a`'s read-through composes the un-drained suffix in.
+    common::read_through_exact(&db, "a", "a behind the shared log");
+    assert!(db.read_through("a").unwrap().contains(&tuple![2, 2]));
 
     db.refresh("a").unwrap();
     assert_eq!(db.query_view("a").unwrap(), db.query_view("b").unwrap());

@@ -174,6 +174,18 @@ impl CountedGamma {
         Ok((self.permuted(old), self.permuted(new), touched))
     }
 
+    /// [`fold`](Self::fold) into copies of the groups the change touches:
+    /// the same result, and `s` is left as it was (read-through).
+    pub fn fold_copy(
+        &self,
+        s: &GroupAggregateState,
+        del: &Bag,
+        ins: &Bag,
+    ) -> Result<(Bag, Bag, usize)> {
+        let (old, new, touched) = s.fold_touched(del, ins)?;
+        Ok((self.permuted(old), self.permuted(new), touched))
+    }
+
     /// A permutation is injective on rows: permuting the `γ`'s change is
     /// the view's change.
     fn permuted(&self, rows: Bag) -> Bag {

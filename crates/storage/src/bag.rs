@@ -103,7 +103,10 @@ impl Bag {
             }
         } else {
             Bag {
-                repr: Repr::Flat(HashMap::with_capacity_and_hasher(n, FxBuildHasher::default())),
+                repr: Repr::Flat(HashMap::with_capacity_and_hasher(
+                    n,
+                    FxBuildHasher::default(),
+                )),
                 len: 0,
             }
         }
@@ -256,7 +259,9 @@ impl Bag {
     /// Iterate over `(tuple, multiplicity)` pairs in hash order (shard by
     /// shard when sharded).
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, u64)> {
-        self.maps().iter().flat_map(|m| m.iter().map(|(t, &n)| (t, n)))
+        self.maps()
+            .iter()
+            .flat_map(|m| m.iter().map(|(t, &n)| (t, n)))
     }
 
     /// Iterate over tuples, each repeated by its multiplicity.
@@ -304,10 +309,22 @@ impl Bag {
         }
     }
 
-    /// Monus `self ∸ other`: multiplicity of `x` is `max(0, n - m)`.
+    /// Monus `self ∸ other`: multiplicity of `x` is `max(0, n - m)`. Walks
+    /// the smaller side: a small `self` probes a large `other` (a Lemma-3
+    /// fold's `d2 ∸ i1` against an accumulated log) in O(|self|).
     pub fn monus(&self, other: &Bag) -> Bag {
-        let mut out = self.clone();
-        out.monus_assign(other);
+        if other.distinct_len() <= self.distinct_len() {
+            let mut out = self.clone();
+            out.monus_assign(other);
+            return out;
+        }
+        let mut out = Bag::new();
+        for (t, m) in self.iter() {
+            let k = m.saturating_sub(other.multiplicity(t));
+            if k > 0 {
+                out.insert_n(t.clone(), k);
+            }
+        }
         out
     }
 
@@ -537,11 +554,8 @@ pub fn compose_delta_parallel(
         unreachable!("all operands sharded above")
     };
     let profiled = profile::profiling_on();
-    let slots: Vec<Mutex<(&mut Shard, &mut Shard)>> = d1s
-        .iter_mut()
-        .zip(i1s.iter_mut())
-        .map(Mutex::new)
-        .collect();
+    let slots: Vec<Mutex<(&mut Shard, &mut Shard)>> =
+        d1s.iter_mut().zip(i1s.iter_mut()).map(Mutex::new).collect();
     let deltas: Vec<(u64, u64, u64, u64, u64)> = pool.run(Bag::SHARDS, width, |k| {
         let start = profiled.then(Instant::now);
         let mut pair = slots[k].lock().unwrap();
@@ -736,6 +750,12 @@ mod tests {
         assert_eq!(x.monus(&y), b(&[(2, 1)]));
         // monus is not symmetric
         assert_eq!(y.monus(&x), b(&[(1, 3), (3, 1)]));
+        // a smaller `self` walks itself, probing the larger side
+        let z = b(&[(1, 1), (3, 1), (4, 1), (5, 1)]);
+        assert_eq!(x.monus(&z), b(&[(1, 1), (2, 1)]));
+        let mut assigned = x.clone();
+        assigned.monus_assign(&z);
+        assert_eq!(x.monus(&z), assigned);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! * total and maximum **write-hold** time (this *is* downtime),
 //! * total **read-block** time (time readers spent waiting — what concurrent
 //!   decision-support queries experience during refresh),
+//! * total **write-wait** time (time writers spent waiting — what a
+//!   committer experiences while readers pin a base table),
 //! * acquisition counts,
-//! * full latency **distributions** of write-holds and read-waits
+//! * full latency **distributions** of write-holds, read-waits and
+//!   write-waits
 //!   ([`dvm_obs::Histogram`]) — the totals above tell you the mean; the
 //!   histograms surface the p95/p99 tail the refresh policies trade
 //!   against.
@@ -47,11 +50,15 @@ pub struct LockMetrics {
     write_acquisitions: AtomicU64,
     read_block_nanos: AtomicU64,
     read_acquisitions: AtomicU64,
+    write_wait_nanos: AtomicU64,
     /// Distribution of individual write-hold times (downtime tail).
     write_hold: Histogram,
     /// Distribution of individual read-wait times (what each blocked
     /// reader experienced, attributable to the table's view).
     read_wait: Histogram,
+    /// Distribution of individual write-wait times (what each writer
+    /// waited for readers and other writers to let go).
+    write_wait: Histogram,
 }
 
 /// A point-in-time copy of [`LockMetrics`].
@@ -67,6 +74,8 @@ pub struct LockMetricsSnapshot {
     pub read_block_nanos: u64,
     /// Number of read acquisitions.
     pub read_acquisitions: u64,
+    /// Total nanoseconds writers spent blocked waiting for the lock.
+    pub write_wait_nanos: u64,
 }
 
 impl LockMetrics {
@@ -74,6 +83,12 @@ impl LockMetrics {
         self.write_hold_nanos.fetch_add(nanos, Ordering::Relaxed);
         atomic_max(&self.write_hold_max_nanos, nanos);
         self.write_hold.record(nanos);
+    }
+
+    fn record_write_wait(&self, nanos: u64) {
+        self.write_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.write_acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.write_wait.record(nanos);
     }
 
     fn record_read_wait(&self, nanos: u64) {
@@ -94,6 +109,12 @@ impl LockMetrics {
         self.read_wait.snapshot()
     }
 
+    /// Distribution of individual write-wait times (each sample is one
+    /// writer's wait to acquire the lock).
+    pub fn write_wait_histogram(&self) -> HistogramSnapshot {
+        self.write_wait.snapshot()
+    }
+
     /// Copy the current counter values.
     pub fn snapshot(&self) -> LockMetricsSnapshot {
         LockMetricsSnapshot {
@@ -102,6 +123,7 @@ impl LockMetrics {
             write_acquisitions: self.write_acquisitions.load(Ordering::Relaxed),
             read_block_nanos: self.read_block_nanos.load(Ordering::Relaxed),
             read_acquisitions: self.read_acquisitions.load(Ordering::Relaxed),
+            write_wait_nanos: self.write_wait_nanos.load(Ordering::Relaxed),
         }
     }
 
@@ -116,8 +138,10 @@ impl LockMetrics {
         self.write_acquisitions.store(0, Ordering::Relaxed);
         self.read_block_nanos.store(0, Ordering::Relaxed);
         self.read_acquisitions.store(0, Ordering::Relaxed);
+        self.write_wait_nanos.store(0, Ordering::Relaxed);
         self.write_hold.reset();
         self.read_wait.reset();
+        self.write_wait.reset();
     }
 }
 
@@ -172,19 +196,20 @@ impl<T> InstrumentedRwLock<T> {
         guard
     }
 
-    /// Acquire a write guard whose hold time is recorded on drop. Stamps a
-    /// fresh globally-unique version *after* acquisition, so any reader
-    /// that observes the old version under a read lock is guaranteed to
-    /// have seen the pre-write contents.
+    /// Acquire a write guard, recording wait time; its hold time is
+    /// recorded on drop. Stamps a fresh globally-unique version *after*
+    /// acquisition, so any reader that observes the old version under a
+    /// read lock is guaranteed to have seen the pre-write contents.
     pub fn write(&self) -> TimedWriteGuard<'_, T> {
+        let start = Instant::now();
         let guard = self.inner.write();
         self.version.store(next_version(), Ordering::Release);
+        let acquired = Instant::now();
         self.metrics
-            .write_acquisitions
-            .fetch_add(1, Ordering::Relaxed);
+            .record_write_wait(acquired.duration_since(start).as_nanos() as u64);
         TimedWriteGuard {
             guard: Some(guard),
-            acquired: Instant::now(),
+            acquired,
             metrics: &self.metrics,
         }
     }
@@ -301,6 +326,29 @@ mod tests {
     }
 
     #[test]
+    fn writer_wait_time_recorded() {
+        let l = Arc::new(InstrumentedRwLock::new(0u32));
+        let guard = l.read();
+        let writer = {
+            let l = Arc::clone(&l);
+            thread::spawn(move || {
+                let _w = l.write();
+            })
+        };
+        thread::sleep(Duration::from_millis(10));
+        drop(guard);
+        writer.join().unwrap();
+        let m = l.metrics().snapshot();
+        assert!(
+            m.write_wait_nanos >= 5_000_000,
+            "writer should have waited out the reader: {m:?}"
+        );
+        let h = l.metrics().write_wait_histogram();
+        assert_eq!(h.count, 1);
+        assert_eq!(h.max, m.write_wait_nanos);
+    }
+
+    #[test]
     fn max_hold_tracks_largest() {
         let l = InstrumentedRwLock::new(());
         {
@@ -327,6 +375,7 @@ mod tests {
         assert_eq!(l.metrics().snapshot(), LockMetricsSnapshot::default());
         assert!(l.metrics().write_hold_histogram().is_empty());
         assert!(l.metrics().read_wait_histogram().is_empty());
+        assert!(l.metrics().write_wait_histogram().is_empty());
     }
 
     #[test]

@@ -69,10 +69,7 @@ pub fn run_stream(
 /// another stream is maintaining) while disjoint ones proceed in parallel;
 /// the returned stats aggregate every stream. The first error, in stream
 /// order, is propagated after all workers have finished.
-pub fn run_stream_concurrent(
-    db: &Database,
-    streams: Vec<Vec<Transaction>>,
-) -> Result<StreamStats> {
+pub fn run_stream_concurrent(db: &Database, streams: Vec<Vec<Transaction>>) -> Result<StreamStats> {
     if streams.is_empty() {
         return Ok(StreamStats::default());
     }
@@ -166,6 +163,7 @@ pub fn with_concurrent_readers<T>(
         write_acquisitions: after.write_acquisitions - before.write_acquisitions,
         read_block_nanos: after.read_block_nanos - before.read_block_nanos,
         read_acquisitions: after.read_acquisitions - before.read_acquisitions,
+        write_wait_nanos: after.write_wait_nanos - before.write_wait_nanos,
     };
     Ok((
         out,
