@@ -18,7 +18,7 @@ pub fn explain_plan(plan: &Plan) -> String {
 /// [`explain_plan`] for one plan of a `(▼, ▲)` pair: an operator whose
 /// result the pair computes once is marked `[shared #slot]`, a join side
 /// whose hash build it computes once `[shared build #slot]` (used when that
-/// side is the one built and the join-build cache does not hold it).
+/// side is the one built).
 pub fn explain_plan_shared(plan: &Plan, shared: &SharedPlans) -> String {
     let mut out = String::new();
     render(plan, 0, shared, &mut out);

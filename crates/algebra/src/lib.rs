@@ -36,7 +36,8 @@ pub mod testgen;
 pub use aggregate::{group_aggregate_bag, group_entry, AggCall, AggFunc, GroupAggregateState};
 pub use error::{AlgebraError, Result};
 pub use eval::{
-    eval, eval_in_catalog, eval_pair, eval_reference, BagSource, PinnedState, SharedPlans,
+    eval, eval_in_catalog, eval_pair, eval_reference, probed_scans, BagSource, PinnedState,
+    SharedPlans,
 };
 pub use explain::{explain_plan, explain_plan_shared, explain_query};
 pub use expr::Expr;

@@ -138,8 +138,8 @@ impl Plan {
     /// same subtree built on different keys gets different entries).
     ///
     /// Two [`FxHasher`] passes with independent seeds are combined into a
-    /// `u128`; the join-build cache treats equality of fingerprints as plan
-    /// identity, which a 64-bit hash could not justify. The encoding tags
+    /// `u128`; [`crate::SharedPlans::of`] treats equality of fingerprints as
+    /// plan identity, which a 64-bit hash could not justify. The encoding tags
     /// every node with a discriminant byte, so shape ambiguities (e.g.
     /// `Union(a, b)` vs `Monus(a, b)`) cannot collide structurally.
     /// `Literal` bags are folded order-independently (hash-map iteration

@@ -127,7 +127,12 @@ pub fn optimize(plan: Plan, scan_arity: &FxHashMap<String, usize>) -> Plan {
 }
 
 /// Split `pred` over `l × r` and build the best available join.
-fn build_join(pred: PhysPredicate, l: Plan, r: Plan, scan_arity: &FxHashMap<String, usize>) -> Plan {
+fn build_join(
+    pred: PhysPredicate,
+    l: Plan,
+    r: Plan,
+    scan_arity: &FxHashMap<String, usize>,
+) -> Plan {
     let Some(lar) = arity(&l, scan_arity) else {
         // Unknown left arity (empty literal): no classification possible.
         return Plan::Filter(pred, Box::new(Plan::Product(Box::new(l), Box::new(r))));
@@ -320,12 +325,9 @@ pub enum FusedSource<'a> {
     Literal(&'a Bag),
     /// Stream the left pipeline, then the right (`⊎` needs no state).
     Union(Box<FusedPlan<'a>>, Box<FusedPlan<'a>>),
-    /// Hash join: one side is materialized into a hash table (and possibly
-    /// served from the join-build cache); the other side's tuples stream
-    /// through it. Both sides are carried fused *and* as raw plans so the
-    /// executor can pick the build side at runtime — it prefers building a
-    /// stable base-table side (reusable across evaluations via the cache)
-    /// over a churning delta/log side.
+    /// Hash join: the smaller side, picked at run time (both sides are
+    /// carried fused *and* as raw plans), is materialized into a hash table
+    /// that the other side's tuples stream through.
     Join {
         /// Left-side pipeline (streamed when the right side is built).
         left: Box<FusedPlan<'a>>,
@@ -636,7 +638,11 @@ mod tests {
         );
         // Filter pushdown has already merged both selections below the
         // projection, so fusion sees one conjunctive filter then a project.
-        assert_eq!(fused.ops.len(), 2, "merged filter + project fused: {fused:?}");
+        assert_eq!(
+            fused.ops.len(),
+            2,
+            "merged filter + project fused: {fused:?}"
+        );
         assert!(matches!(fused.ops[0], FusedOp::Filter(_)));
         assert!(matches!(fused.ops[1], FusedOp::Project(_)));
     }

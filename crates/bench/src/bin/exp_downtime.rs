@@ -85,7 +85,7 @@ fn recompute_refresh(db: &Database) -> dvm_core::Result<()> {
     let mv = db.mv_table("V")?;
     let mut guard = mv.write();
     let fresh = db.recompute_view("V")?;
-    *guard = fresh;
+    **guard = fresh;
     drop(guard);
     let view = db.view("V")?;
     if let Some(log) = view.log() {

@@ -1,9 +1,10 @@
 //! **Executor experiment**: the streaming fused executor vs the
 //! materializing reference evaluator vs a faithful reconstruction of the
 //! pre-streaming evaluator (std `HashMap` = SipHash bags, per-tuple join-key
-//! allocation, materialize-every-operator, no build caching).
+//! allocation, materialize-every-operator, no key pushdown).
 //!
-//! Four benchmark families, written to `results/BENCH_eval.json`:
+//! Four benchmark families, written to `results/BENCH_eval.json` behind a
+//! `{host, commit}` stamp:
 //!
 //! * `hash/tuple_insert/{siphash,fxhash}` — the raw hashing delta on the
 //!   bag-building inner loop;
@@ -11,10 +12,10 @@
 //!   filter→project change query: the reference evaluator materializes the
 //!   filtered intermediate, the fused executor streams tuples straight into
 //!   the result;
-//! * `eval/join_delta/{prepr_sip,cold,cached}` — a small delta probing a
-//!   large build side: `cold` rebuilds the hash table every evaluation
-//!   (cache cleared), `cached` reuses it via the epoch-validated
-//!   join-build cache;
+//! * `eval/join_delta/{prepr_sip,cold,indexed}` — a small delta joined
+//!   with a large base table: `cold` builds the delta and scans the table
+//!   through its pushed key set, `indexed` looks those keys up in the
+//!   table's join-key index;
 //! * `propagate/{reference,fused}` — the evaluation half of
 //!   `exp_downtime`'s propagate phase (Combined scenario, deferred sales
 //!   backlog): the view's compiled `▼/▲` plans over its bound log, run
@@ -27,12 +28,10 @@
 use dvm_algebra::plan::{PhysOperand, PhysPredicate, Plan};
 use dvm_algebra::predicate::CmpOp;
 use dvm_algebra::{eval, eval_pair, eval_reference, PinnedState};
-use dvm_bench::report::{summary_table, write_json};
+use dvm_bench::report::{summary_table, write_json_stamped};
 use dvm_bench::{eval_pending_deltas, retail_db};
 use dvm_core::{Minimality, Scenario};
-use dvm_storage::{
-    tuple, Bag, Catalog, FxHashMap, Schema, TableKind, Tuple, Value, ValueType,
-};
+use dvm_storage::{tuple, Bag, Catalog, FxHashMap, Schema, TableKind, Tuple, Value, ValueType};
 use dvm_testkit::bench::{Bench, Summary};
 use std::collections::HashMap;
 
@@ -191,26 +190,28 @@ fn bench_join_delta(b: &Bench, out: &mut Vec<Summary>) {
     };
     let pinned = PinnedState::pin_for(&catalog, &plan).unwrap();
     out.push(b.run("eval/join_delta/cold", || {
-        catalog.join_cache().clear();
         eval(&plan, &pinned).unwrap().len()
     }));
-    catalog.join_cache().clear();
-    eval(&plan, &pinned).unwrap(); // prime the build cache
-    out.push(b.run("eval/join_delta/cached", || {
+    drop(pinned);
+    table.register_index(&[0]);
+    let pinned = PinnedState::pin_for(&catalog, &plan).unwrap();
+    eval(&plan, &pinned).unwrap(); // the first probe builds the index
+    out.push(b.run("eval/join_delta/indexed", || {
         eval(&plan, &pinned).unwrap().len()
     }));
-    let stats = catalog.join_cache().stats();
-    assert!(stats.hits > 0, "cached runs must actually hit the cache");
+    assert!(
+        table.index_stats()[0].probes > 0,
+        "indexed runs must look keys up"
+    );
 }
 
 /// `exp_downtime`'s propagate phase at its full scale (5k customers, 25k
 /// initial sales): a deferred sales backlog, timed through the evaluation
 /// of the pending `▼/▲` only. One warm-up propagate runs in setup —
 /// `exp_downtime` propagates every N/10 transactions, so the steady-state
-/// propagate is what its latency is made of. The streaming executor flips
-/// the join build to the stable customer side and serves it from the
-/// join-build cache across propagates; the reference evaluator re-filters
-/// and rebuilds every time.
+/// propagate is what its latency is made of. The streaming executor builds
+/// the small log side and looks its keys up in the customer table's
+/// join-key index; the reference evaluator scans and builds every time.
 fn bench_propagate(b: &Bench, out: &mut Vec<Summary>) {
     let b = b.clone().samples(8);
     let make = || {
@@ -240,7 +241,11 @@ fn bench_propagate(b: &Bench, out: &mut Vec<Summary>) {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--test");
-    let bench = if quick { Bench::quick() } else { Bench::from_env() };
+    let bench = if quick {
+        Bench::quick()
+    } else {
+        Bench::from_env()
+    };
     let mut out = Vec::new();
     bench_hashing(&bench, &mut out);
     bench_filter_project(&bench, &mut out);
@@ -260,18 +265,18 @@ fn main() {
     };
     println!(
         "\nspeedups (median): filter_project fused vs pre-PR {:.2}x, vs reference {:.2}x;\n\
-         join_delta cached vs pre-PR {:.2}x, cached vs cold {:.2}x; propagate fused vs reference {:.2}x",
+         join_delta indexed vs pre-PR {:.2}x, indexed vs cold {:.2}x; propagate fused vs reference {:.2}x",
         median("eval/filter_project/prepr_sip") / median("eval/filter_project/fused"),
         median("eval/filter_project/reference") / median("eval/filter_project/fused"),
-        median("eval/join_delta/prepr_sip") / median("eval/join_delta/cached"),
-        median("eval/join_delta/cold") / median("eval/join_delta/cached"),
+        median("eval/join_delta/prepr_sip") / median("eval/join_delta/indexed"),
+        median("eval/join_delta/cold") / median("eval/join_delta/indexed"),
         median("propagate/reference") / median("propagate/fused"),
     );
 
     let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_ok() {
         let path = dir.join("BENCH_eval.json");
-        match write_json(&path, &out) {
+        match write_json_stamped(&path, &out) {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }

@@ -17,6 +17,7 @@ use dvm_workload::run_stream;
 
 fn main() {
     println!("=== E2: per-transaction maintenance overhead (µs/tx) ===\n");
+    println!("{}\n", dvm_bench::report::Stamp::here().line());
     println!("workload: 200 tx × (10 inserts + 2 deletes) on sales; view = Example 1.1\n");
 
     let sizes = [1_000usize, 10_000, 50_000];

@@ -16,7 +16,7 @@
 //! 3. **The time-series recorder**: `PolicyDriver` ticks under Policy 2
 //!    sample staleness gauges and maintenance latency into downsampling
 //!    rings; the full `ProfileReport` (operator trees, pool utilization,
-//!    join-cache attribution, series) is embedded in the artifact under
+//!    WAL latency, series) is embedded in the artifact under
 //!    `profile`, next to the standard `benchmarks` array and host stamp.
 //!
 //! `--test` runs a single smoke round of everything (including the
@@ -48,7 +48,11 @@ fn median_coverage(props: &[&MaintProfile]) -> f64 {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--test");
-    let bench = if quick { Bench::quick() } else { Bench::from_env() };
+    let bench = if quick {
+        Bench::quick()
+    } else {
+        Bench::from_env()
+    };
 
     // --- attribution coverage: profiled propagates over real backlogs ---
     let (db, mut gen) = make();
@@ -75,7 +79,10 @@ fn main() {
         COVERAGE_LO * 100.0,
         COVERAGE_HI * 100.0,
     );
-    println!("\nlast profiled propagate:\n{}", props.last().unwrap().render());
+    println!(
+        "\nlast profiled propagate:\n{}",
+        props.last().unwrap().render()
+    );
     if !(COVERAGE_LO..=COVERAGE_HI).contains(&coverage) {
         eprintln!(
             "exp_profile: FAIL — per-operator nanos explain {:.0}% of observed propagate \
@@ -99,7 +106,12 @@ fn main() {
     }
     let report = db.profile_report();
     db.set_profiling(false);
-    for want in ["propagate_ns/V", "refresh_ns/V", "staleness_ns/V", "backlog_entries/V"] {
+    for want in [
+        "propagate_ns/V",
+        "refresh_ns/V",
+        "staleness_ns/V",
+        "backlog_entries/V",
+    ] {
         assert!(
             report.series.iter().any(|s| s.name() == want),
             "missing time series `{want}`"
@@ -117,7 +129,10 @@ fn main() {
 
     // --- profiling overhead: identical propagate workloads, off vs on ---
     let mut out: Vec<Summary> = Vec::new();
-    for (name, on) in [("profile/propagate/off", false), ("profile/propagate/on", true)] {
+    for (name, on) in [
+        ("profile/propagate/off", false),
+        ("profile/propagate/on", true),
+    ] {
         out.push(bench.run_batched(
             name,
             || {
@@ -154,7 +169,9 @@ fn main() {
 
     let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_ok() {
-        let par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let par = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         let body = to_json_report_with_host(&out, par);
         // Splice the profiling report in next to the host stamp and the
         // benchmarks array: {"profile":…, "host":…, "benchmarks":[…]}.

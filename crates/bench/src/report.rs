@@ -6,8 +6,8 @@
 //! re-exports them under their historical `dvm_bench::report` paths and
 //! adds the benchmark-summary glue.
 
-use dvm_testkit::bench::Summary;
 pub use dvm_obs::{fmt_nanos, TableReport};
+use dvm_testkit::bench::Summary;
 pub use dvm_testkit::bench::{
     to_json_report, to_json_report_with_host, write_json, write_json_with_host,
 };
@@ -29,6 +29,68 @@ pub fn summary_table(summaries: &[Summary]) -> TableReport {
     t
 }
 
+/// Where a result was measured: the host's parallelism, OS and
+/// architecture, and the commit of the working tree it was built from
+/// (`-dirty` with uncommitted changes, `unknown` outside a git checkout).
+pub struct Stamp {
+    /// Threads the host runs in parallel.
+    pub parallelism: usize,
+    /// `git rev-parse --short HEAD`, plus `-dirty`.
+    pub commit: String,
+}
+
+impl Stamp {
+    /// Stamp the current process.
+    pub fn here() -> Stamp {
+        let git = |args: &[&str]| {
+            let out = std::process::Command::new("git").args(args).output().ok()?;
+            out.status
+                .success()
+                .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        };
+        let commit = match git(&["rev-parse", "--short", "HEAD"]) {
+            Some(head) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+                Some(changes) if changes.is_empty() => head,
+                _ => format!("{head}-dirty"),
+            },
+            None => "unknown".to_string(),
+        };
+        Stamp {
+            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            commit,
+        }
+    }
+
+    /// The `host` and `commit` members of a JSON object.
+    pub fn json_members(&self) -> String {
+        format!(
+            "\"host\":{{\"parallelism\":{},\"os\":\"{}\",\"arch\":\"{}\"}},\"commit\":\"{}\"",
+            self.parallelism,
+            std::env::consts::OS,
+            std::env::consts::ARCH,
+            self.commit
+        )
+    }
+
+    /// One header line for a text artifact.
+    pub fn line(&self) -> String {
+        format!(
+            "host: {} threads, {}/{}; commit: {}",
+            self.parallelism,
+            std::env::consts::OS,
+            std::env::consts::ARCH,
+            self.commit
+        )
+    }
+}
+
+/// Write [`to_json_report`] with the [`Stamp`] of this process in front.
+pub fn write_json_stamped(path: &std::path::Path, summaries: &[Summary]) -> std::io::Result<()> {
+    let body = to_json_report(summaries);
+    let doc = format!("{{{},{}", Stamp::here().json_members(), &body[1..]);
+    std::fs::write(path, doc)
+}
+
 /// Format a duration with an adaptive unit.
 pub fn fmt_duration(d: std::time::Duration) -> String {
     fmt_nanos(d.as_nanos() as f64)
@@ -43,6 +105,20 @@ mod tests {
         let d = std::time::Duration::from_micros(1_500);
         assert_eq!(fmt_duration(d), "1.50ms");
         assert_eq!(fmt_duration(d), fmt_nanos(1_500_000.0));
+    }
+
+    #[test]
+    fn stamped_report_parses_with_host_and_commit() {
+        let s = dvm_testkit::Bench::quick().run("t", || 1 + 1);
+        let path = std::env::temp_dir().join(format!("dvm-stamp-{}.json", std::process::id()));
+        write_json_stamped(&path, &[s]).unwrap();
+        let doc = dvm_obs::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let host = doc.get("host").unwrap();
+        assert!(host.get("parallelism").unwrap().as_f64().unwrap() >= 1.0);
+        assert!(!doc.get("commit").unwrap().as_str().unwrap().is_empty());
+        assert_eq!(doc.get("benchmarks").unwrap().as_arr().unwrap().len(), 1);
+        assert!(Stamp::here().line().starts_with("host: "));
     }
 
     #[test]

@@ -87,7 +87,8 @@ fn check_staleness(v: &Value, ctx: &str) {
 
 /// An `Observability::to_json` document. Its `schema_version` (1 when
 /// absent: artifacts recorded before the field existed) may not be newer
-/// than the engine's; from version 2 on it carries per-table lock waits.
+/// than the engine's; from version 2 on it carries per-table lock waits,
+/// from version 3 on per-table join-key `indexes` (and no `join_cache`).
 fn check_observability(v: &Value, ctx: &str) {
     let version = match v.get("schema_version") {
         Some(_) => require_num(v, "schema_version", ctx),
@@ -113,6 +114,29 @@ fn check_observability(v: &Value, ctx: &str) {
             let tctx = format!("{ctx}/table {name}/{hist}");
             check_histogram(require(table, hist, &tctx), &tctx);
         }
+        if version >= 3.0 {
+            let ictx = format!("{ctx}/table {name}/indexes");
+            let indexes = require(table, "indexes", &ictx)
+                .as_arr()
+                .unwrap_or_else(|| panic!("{ictx}: not an array"));
+            for ix in indexes {
+                let columns = require(ix, "columns", &ictx)
+                    .as_arr()
+                    .unwrap_or_else(|| panic!("{ictx}: `columns` is not an array"));
+                assert!(
+                    !columns.is_empty() && columns.iter().all(|c| c.as_str().is_some()),
+                    "{ictx}: `columns` must be column names"
+                );
+                require_num(ix, "entries", &ictx);
+                require_num(ix, "probes", &ictx);
+            }
+        }
+    }
+    if version >= 3.0 {
+        assert!(
+            v.get("join_cache").is_none(),
+            "{ctx}: version 3 has no join_cache"
+        );
     }
     let views = require(v, "views", ctx)
         .as_arr()
@@ -218,8 +242,13 @@ fn check_recovery_report(doc: &Value, ctx: &str) {
 
 /// `BENCH_eval.json` must carry every benchmark the executor speedup gates
 /// in `obs_guard` divide — a renamed or dropped series would silently turn
-/// the gates into no-ops.
+/// the gates into no-ops — behind the `{host, commit}` stamp of the run.
 fn check_eval_report(doc: &Value, ctx: &str) {
+    let host = require(doc, "host", ctx);
+    require_num(host, "parallelism", &format!("{ctx}/host"));
+    require(doc, "commit", ctx)
+        .as_str()
+        .unwrap_or_else(|| panic!("{ctx}: `commit` is not a string"));
     const REQUIRED: &[&str] = &[
         "hash/tuple_insert/siphash",
         "hash/tuple_insert/fxhash",
@@ -228,7 +257,7 @@ fn check_eval_report(doc: &Value, ctx: &str) {
         "eval/filter_project/fused",
         "eval/join_delta/prepr_sip",
         "eval/join_delta/cold",
-        "eval/join_delta/cached",
+        "eval/join_delta/indexed",
         "propagate/reference",
         "propagate/fused",
     ];
@@ -550,4 +579,10 @@ fn observability_snapshot_passes_its_own_schema() {
         .filter_map(|t| t.get("table")?.as_str())
         .collect();
     assert!(names.contains(&"sales"), "base tables reported: {names:?}");
+    // V joins sales and customer on custId: each keeps that index.
+    for t in tables {
+        let ix = t.get("indexes").and_then(Value::as_arr).unwrap();
+        let cols = ix[0].get("columns").and_then(Value::as_arr).unwrap();
+        assert_eq!(cols[0].as_str(), Some("custId"), "{text}");
+    }
 }

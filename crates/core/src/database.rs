@@ -42,11 +42,14 @@ use crate::epochlog::SharedLog;
 use crate::error::{CoreError, Result};
 use crate::invariant::{check_view, check_view_with_log_overrides, InvariantReport};
 use crate::metrics::ViewMetricsSnapshot;
-use crate::obs::{IngestGauges, Observability, StalenessGauges, TableLockWaits, ViewObservability};
+use crate::obs::{
+    IndexObservability, IngestGauges, Observability, StalenessGauges, TableObservability,
+    ViewObservability,
+};
 use crate::profile::{MaintProfile, ProfileReport};
 use crate::scenario::{self, base_log, combined, diff_table, immediate};
 use crate::view::{Minimality, Scenario, View};
-use dvm_algebra::eval::PinnedState;
+use dvm_algebra::eval::{probed_scans, PinnedState};
 use dvm_algebra::infer::compile;
 use dvm_algebra::Expr;
 use dvm_delta::{compose_into, CompiledDeltaProgram, CompiledDeltaVariant, Transaction};
@@ -279,22 +282,17 @@ impl Database {
     }
 
     /// Snapshot the profiling state: recent per-operation operator trees,
-    /// worker-pool utilization, join-build-cache attribution (totals and
-    /// per plan), WAL latency histograms, and all registered time series.
+    /// worker-pool utilization, WAL latency histograms, and all registered
+    /// time series.
     pub fn profile_report(&self) -> ProfileReport {
         let (wal_append, wal_sync) = match self.durable.lock().as_ref() {
             Some(d) => (Some(d.wal.append_latency()), Some(d.wal.sync_latency())),
             None => (None, None),
         };
-        let cache = self.catalog.join_cache();
-        let mut per_plan = cache.per_plan_stats();
-        per_plan.sort_by_key(|(_, s)| std::cmp::Reverse(s.hits + s.misses));
         ProfileReport {
             enabled: dvm_obs::profiling_on(),
             ops: self.profiles.lock().clone(),
             pool: self.pool.stats(),
-            join_cache: cache.stats(),
-            per_plan,
             wal_append,
             wal_sync,
             series: self.tseries.lock().values().cloned().collect(),
@@ -466,6 +464,11 @@ impl Database {
         let initial = scenario::recompute(&self.catalog, &view)?;
         self.catalog.require(view.mv_table())?.replace(initial)?;
         view.metrics().mark_refreshed(self.now_nanos());
+        // Registered after the initialization, so its scans build nothing:
+        // each index is built by its first probe.
+        for (table, cols) in self.view_indexes(&view) {
+            table.register_index(&cols);
+        }
         if shared {
             // Register the cursor before the view becomes visible; the
             // claims ensure no relevant transaction commits in between, so
@@ -621,8 +624,25 @@ impl Database {
         for t in view.internal_tables() {
             self.catalog.drop_table(&t)?;
         }
+        for (table, cols) in self.view_indexes(&view) {
+            table.release_index(&cols);
+        }
         self.log_op(&DurableOp::DropView(name.to_string()))?;
         Ok(())
+    }
+
+    /// The base-table join-key indexes `view`'s evaluations probe: every
+    /// key set a join of its compiled definition can push to a base scan.
+    /// Its change queries join the same columns, so their key sets reach
+    /// the same indexes.
+    fn view_indexes(&self, view: &View) -> Vec<(Arc<Table>, Vec<usize>)> {
+        probed_scans(&view.compiled().plan)
+            .into_iter()
+            .filter_map(|(name, cols)| {
+                let table = self.catalog.get(&name)?;
+                (table.kind() == TableKind::External).then_some((table, cols))
+            })
+            .collect()
     }
 
     /// Names of all views.
@@ -837,19 +857,13 @@ impl Database {
             report.views_maintained += shared_relevant.len();
         }
 
-        // Apply T itself.
+        // Apply T itself (validated on entry).
         let start = Instant::now();
         for t in tx.tables() {
             let (d, i) = tx.get(t).expect("listed table");
-            self.catalog.require(t)?.apply_delta(d, i)?;
+            self.catalog.require(t)?.apply_validated(d, i);
         }
         report.base_apply_nanos = start.elapsed().as_nanos() as u64;
-        // Epoch checks already make stale join builds unreachable (the
-        // write above bumped each table's data epoch); dropping them now is
-        // memory hygiene, not correctness.
-        for t in tx.tables() {
-            self.catalog.join_cache().invalidate_table(t);
-        }
 
         // Post-update phase: immediate views apply their precomputed deltas.
         for (view, pending) in pending_immediate {
@@ -897,9 +911,6 @@ impl Database {
             self.catalog.require(t)?.apply_delta(d, i)?;
         }
         let nanos = start.elapsed().as_nanos() as u64;
-        for t in tx.tables() {
-            self.catalog.join_cache().invalidate_table(t);
-        }
         if self.durable_attached.load(Ordering::Acquire) {
             self.log_op(&DurableOp::TxnUnmaintained(tx.clone()))?;
         }
@@ -1377,10 +1388,20 @@ impl Database {
             .filter(|t| t.kind() == TableKind::External)
             .map(|t| {
                 let lock = t.lock_metrics();
-                TableLockWaits {
+                let indexes = t.index_stats().into_iter().map(|ix| IndexObservability {
+                    columns: ix
+                        .cols
+                        .iter()
+                        .map(|&c| t.schema().columns()[c].name.clone())
+                        .collect(),
+                    entries: ix.entries,
+                    probes: ix.probes,
+                });
+                TableObservability {
                     name: t.name().to_string(),
                     write_wait: lock.write_wait_histogram(),
                     read_wait: lock.read_wait_histogram(),
+                    indexes: indexes.collect(),
                 }
             })
             .collect();
@@ -1394,7 +1415,6 @@ impl Database {
             trace_enabled: self.tracer.is_enabled(),
             trace_len: self.tracer.len() as u64,
             trace_dropped: self.tracer.dropped(),
-            join_cache: self.catalog.join_cache().stats(),
             ingest: *self.ingest_gauges.lock(),
         }
     }
@@ -1718,6 +1738,9 @@ impl Database {
         for v in state.views {
             let compiled = compile(&v.definition, &self.catalog)?;
             let view = View::new(&v.name, v.definition, compiled, v.scenario, v.minimality)?;
+            for (table, cols) in self.view_indexes(&view) {
+                table.register_index(&cols);
+            }
             registered.insert(v.name, Arc::new(view));
         }
         let mut views = self.views.write();

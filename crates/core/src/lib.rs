@@ -37,7 +37,10 @@ pub use epochlog::SharedLog;
 pub use error::{CoreError, Result};
 pub use invariant::{check_view, InvariantReport};
 pub use metrics::{ViewHistograms, ViewMetrics, ViewMetricsSnapshot};
-pub use obs::{IngestGauges, Observability, StalenessGauges, TableLockWaits, ViewObservability};
+pub use obs::{
+    IndexObservability, IngestGauges, Observability, StalenessGauges, TableObservability,
+    ViewObservability,
+};
 pub use policy::{PolicyDriver, RefreshPolicy, TickActions};
 pub use profile::{MaintProfile, ProfileReport};
 pub use readthrough::read_through;

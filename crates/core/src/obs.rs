@@ -18,7 +18,8 @@
 //!   (the space the deferral is buying time with).
 //!
 //! Per base table, the lock's write-wait and read-wait distributions: how
-//! long commits waited for readers that pinned the table, and the reverse.
+//! long commits waited for readers that pinned the table, and the reverse;
+//! and the join-key indexes the table keeps for its views' probes.
 //!
 //! The JSON document carries [`SCHEMA_VERSION`]; a change to its shape
 //! bumps it.
@@ -30,8 +31,8 @@ use dvm_obs::{fmt_nanos, HistogramSnapshot, TableReport};
 use dvm_storage::lock::LockMetricsSnapshot;
 
 /// Version of [`Observability::to_json`]'s document shape. 2: per-table
-/// lock waits (`tables`).
-pub const SCHEMA_VERSION: u64 = 2;
+/// lock waits (`tables`). 3: per-table `indexes` replace `join_cache`.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// How far behind one view is (all zero / `None` for a view that cannot
 /// lag, e.g. [`Scenario::Immediate`](crate::Scenario::Immediate)).
@@ -124,9 +125,9 @@ pub struct ViewObservability {
     pub delta_program: Option<DeltaProgramStats>,
 }
 
-/// Lock waits on one base table.
+/// Lock waits and join-key indexes of one base table.
 #[derive(Debug, Clone)]
-pub struct TableLockWaits {
+pub struct TableObservability {
     /// Table name.
     pub name: String,
     /// Write-wait distribution: each sample is one writer (a commit's base
@@ -135,6 +136,19 @@ pub struct TableLockWaits {
     /// Read-wait distribution: each sample is one reader waiting out a
     /// writer.
     pub read_wait: HistogramSnapshot,
+    /// The indexes views registered on this table.
+    pub indexes: Vec<IndexObservability>,
+}
+
+/// One join-key index a base table keeps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexObservability {
+    /// Key column names.
+    pub columns: Vec<String>,
+    /// Distinct keys held (0 until the first probe builds the index).
+    pub entries: u64,
+    /// Keys looked up.
+    pub probes: u64,
 }
 
 /// The full registry snapshot.
@@ -142,8 +156,8 @@ pub struct TableLockWaits {
 pub struct Observability {
     /// Per-view reports, in name order.
     pub views: Vec<ViewObservability>,
-    /// Per-base-table lock waits, in name order.
-    pub tables: Vec<TableLockWaits>,
+    /// Per-base-table lock waits and indexes, in name order.
+    pub tables: Vec<TableObservability>,
     /// Shared-log retained entries (all tables).
     pub shared_log_entries: u64,
     /// Shared-log retained tuple volume.
@@ -156,9 +170,6 @@ pub struct Observability {
     pub trace_len: u64,
     /// Events evicted from the trace ring.
     pub trace_dropped: u64,
-    /// Join-build cache counters (hits/misses/resident entries) for the
-    /// streaming executor's build-side reuse across propagates.
-    pub join_cache: dvm_storage::JoinCacheStats,
     /// Latest CDC ingest-pipeline gauges, if one ever published.
     pub ingest: Option<IngestGauges>,
 }
@@ -214,10 +225,21 @@ impl Observability {
     /// The whole registry as one JSON document.
     pub fn to_json(&self) -> String {
         let tables = self.tables.iter().map(|t| {
+            let indexes = t.indexes.iter().map(|ix| {
+                json::object([
+                    (
+                        "columns",
+                        json::array(ix.columns.iter().map(|c| json::string(c))),
+                    ),
+                    ("entries", json::num_u(ix.entries)),
+                    ("probes", json::num_u(ix.probes)),
+                ])
+            });
             json::object([
                 ("table", json::string(&t.name)),
                 ("write_wait", t.write_wait.to_json()),
                 ("read_wait", t.read_wait.to_json()),
+                ("indexes", json::array(indexes)),
             ])
         });
         let mut fields = vec![
@@ -238,15 +260,6 @@ impl Observability {
                     ("enabled", json::boolean(self.trace_enabled)),
                     ("retained", json::num_u(self.trace_len)),
                     ("dropped", json::num_u(self.trace_dropped)),
-                ]),
-            ),
-            (
-                "join_cache",
-                json::object([
-                    ("hits", json::num_u(self.join_cache.hits)),
-                    ("misses", json::num_u(self.join_cache.misses)),
-                    ("evictions", json::num_u(self.join_cache.evictions)),
-                    ("entries", json::num_u(self.join_cache.entries)),
                 ]),
             ),
         ];
@@ -328,6 +341,17 @@ impl Observability {
                 ));
             }
         }
+        for t in &self.tables {
+            for ix in &t.indexes {
+                out.push_str(&format!(
+                    "index {}({}): {} keys, {} probes\n",
+                    t.name,
+                    ix.columns.join(", "),
+                    ix.entries,
+                    ix.probes
+                ));
+            }
+        }
         out.push_str(&format!(
             "\nshared log: epoch {}, {} entries retained ({} tuples)\n",
             self.shared_log_epoch, self.shared_log_entries, self.shared_log_volume
@@ -393,10 +417,15 @@ mod tests {
                 },
                 delta_program: None,
             }],
-            tables: vec![TableLockWaits {
+            tables: vec![TableObservability {
                 name: "r".into(),
                 write_wait: hist.snapshot(),
                 read_wait: HistogramSnapshot::default(),
+                indexes: vec![IndexObservability {
+                    columns: vec!["a".into()],
+                    entries: 4,
+                    probes: 9,
+                }],
             }],
             shared_log_entries: 2,
             shared_log_volume: 5,
@@ -404,12 +433,6 @@ mod tests {
             trace_enabled: false,
             trace_len: 0,
             trace_dropped: 0,
-            join_cache: dvm_storage::JoinCacheStats {
-                hits: 4,
-                misses: 2,
-                entries: 1,
-                evictions: 1,
-            },
             ingest: None,
         }
     }
@@ -420,7 +443,7 @@ mod tests {
         let v = json::parse(&doc).unwrap();
         let views = v.get("views").unwrap().as_arr().unwrap();
         assert_eq!(views.len(), 1);
-        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(2.0));
+        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(3.0));
         let tables = v.get("tables").unwrap().as_arr().unwrap();
         assert_eq!(tables[0].get("table").unwrap().as_str(), Some("r"));
         let ww = tables[0].get("write_wait").unwrap();
@@ -439,11 +462,12 @@ mod tests {
             Some(7.0)
         );
         assert!(v.get("trace").unwrap().get("enabled").is_some());
-        let jc = v.get("join_cache").unwrap();
-        assert_eq!(jc.get("hits").unwrap().as_f64(), Some(4.0));
-        assert_eq!(jc.get("misses").unwrap().as_f64(), Some(2.0));
-        assert_eq!(jc.get("evictions").unwrap().as_f64(), Some(1.0));
-        assert_eq!(jc.get("entries").unwrap().as_f64(), Some(1.0));
+        assert!(v.get("join_cache").is_none(), "version 3 has no join_cache");
+        let ix = &tables[0].get("indexes").unwrap().as_arr().unwrap()[0];
+        let cols = ix.get("columns").unwrap().as_arr().unwrap();
+        assert_eq!(cols[0].as_str(), Some("a"));
+        assert_eq!(ix.get("entries").unwrap().as_f64(), Some(4.0));
+        assert_eq!(ix.get("probes").unwrap().as_f64(), Some(9.0));
     }
 
     #[test]
@@ -464,6 +488,7 @@ mod tests {
         assert!(s.contains("makesafe"), "{s}");
         assert!(s.contains("epochs pending"), "{s}");
         assert!(s.contains("shared log: epoch 7"), "{s}");
+        assert!(s.contains("index r(a): 4 keys, 9 probes"), "{s}");
         // empty histograms are skipped in the latency table
         assert!(!s.contains("propagate"), "{s}");
     }

@@ -12,7 +12,6 @@
 //! ([`MaintProfile::coverage`]).
 
 use dvm_obs::{fmt_nanos, json, HistogramSnapshot, OpProf, ShardProfile, TimeSeries};
-use dvm_storage::{JoinCacheStats, PlanCacheStats};
 use dvm_testkit::PoolStats;
 use std::fmt::Write as _;
 
@@ -100,8 +99,8 @@ impl MaintProfile {
 }
 
 /// The engine-wide profiling snapshot: recent per-operation profiles plus
-/// the resource-attribution counters (worker pool, join-build cache per
-/// plan, WAL latency) and the registered time series.
+/// the resource-attribution counters (worker pool, WAL latency) and the
+/// registered time series.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
     /// Whether profiling is currently enabled.
@@ -110,11 +109,6 @@ pub struct ProfileReport {
     pub ops: Vec<MaintProfile>,
     /// Maintenance worker-pool utilization counters.
     pub pool: PoolStats,
-    /// Join-build cache totals.
-    pub join_cache: JoinCacheStats,
-    /// Per-plan-fingerprint cache attribution, busiest first (accrues
-    /// only while profiling is on).
-    pub per_plan: Vec<(u128, PlanCacheStats)>,
     /// WAL append latency (None when no durable sink is attached).
     pub wal_append: Option<HistogramSnapshot>,
     /// WAL fsync latency (None when no durable sink is attached).
@@ -156,21 +150,6 @@ impl ProfileReport {
                 w.jobs_claimed, w.parks, w.wakes
             );
         }
-        let _ = writeln!(
-            out,
-            "join cache: {} hits, {} misses, {} evictions, {} resident",
-            self.join_cache.hits,
-            self.join_cache.misses,
-            self.join_cache.evictions,
-            self.join_cache.entries
-        );
-        for (key, s) in &self.per_plan {
-            let _ = writeln!(
-                out,
-                "  plan {:032x}: hits={} misses={} evictions={}",
-                key, s.hits, s.misses, s.evictions
-            );
-        }
         if let (Some(a), Some(s)) = (&self.wal_append, &self.wal_sync) {
             let _ = writeln!(
                 out,
@@ -204,7 +183,10 @@ impl ProfileReport {
     pub fn to_json(&self) -> String {
         json::object([
             ("enabled", json::boolean(self.enabled)),
-            ("ops", json::array(self.ops.iter().map(MaintProfile::to_json))),
+            (
+                "ops",
+                json::array(self.ops.iter().map(MaintProfile::to_json)),
+            ),
             (
                 "pool",
                 json::object([
@@ -220,26 +202,6 @@ impl ProfileReport {
                     ),
                     ("submitter_jobs", json::num_u(self.pool.submitter_jobs)),
                     ("total_jobs", json::num_u(self.pool.total_jobs())),
-                ]),
-            ),
-            (
-                "join_cache",
-                json::object([
-                    ("hits", json::num_u(self.join_cache.hits)),
-                    ("misses", json::num_u(self.join_cache.misses)),
-                    ("evictions", json::num_u(self.join_cache.evictions)),
-                    ("entries", json::num_u(self.join_cache.entries)),
-                    (
-                        "per_plan",
-                        json::array(self.per_plan.iter().map(|(key, s)| {
-                            json::object([
-                                ("plan", json::string(&format!("{key:032x}"))),
-                                ("hits", json::num_u(s.hits)),
-                                ("misses", json::num_u(s.misses)),
-                                ("evictions", json::num_u(s.evictions)),
-                            ])
-                        })),
-                    ),
                 ]),
             ),
             (
@@ -313,20 +275,6 @@ mod tests {
             enabled: true,
             ops: vec![sample_op()],
             pool: PoolStats::default(),
-            join_cache: JoinCacheStats {
-                hits: 2,
-                misses: 1,
-                entries: 1,
-                evictions: 0,
-            },
-            per_plan: vec![(
-                7u128,
-                PlanCacheStats {
-                    hits: 2,
-                    misses: 1,
-                    evictions: 0,
-                },
-            )],
             wal_append: None,
             wal_sync: None,
             series: vec![TimeSeries::new("propagate_ns/v", 8)],
@@ -335,7 +283,6 @@ mod tests {
         assert!(r.contains("profiling: on"), "{r}");
         assert!(r.contains("== propagate v"), "{r}");
         assert!(r.contains("Scan r"), "{r}");
-        assert!(r.contains("join cache: 2 hits"), "{r}");
         assert!(r.contains("series propagate_ns/v"), "{r}");
 
         let doc = json::parse(&report.to_json()).unwrap();
@@ -343,10 +290,10 @@ mod tests {
         let ops = doc.get("ops").unwrap().as_arr().unwrap();
         assert_eq!(ops[0].get("op").unwrap().as_str(), Some("propagate"));
         assert_eq!(ops[0].get("coverage").unwrap().as_f64(), Some(0.6));
-        let jc = doc.get("join_cache").unwrap();
-        assert_eq!(jc.get("evictions").unwrap().as_f64(), Some(0.0));
-        assert_eq!(jc.get("per_plan").unwrap().as_arr().unwrap().len(), 1);
-        assert_eq!(doc.get("wal").unwrap().get("append"), Some(&json::Value::Null));
+        assert_eq!(
+            doc.get("wal").unwrap().get("append"),
+            Some(&json::Value::Null)
+        );
         assert_eq!(doc.get("series").unwrap().as_arr().unwrap().len(), 1);
     }
 }

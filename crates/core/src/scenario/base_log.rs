@@ -96,7 +96,7 @@ pub fn refresh(catalog: &Catalog, view: &View) -> Result<()> {
     let (del_bag, ins_bag) = match counted {
         Some(deltas) => deltas,
         None => {
-            let lent = Some((view.mv_table(), &*mv_guard));
+            let lent = Some((view.mv_table(), &**mv_guard));
             eval_variant_bound(catalog, &variant, &active, lent, &HashMap::new())?
         }
     };

@@ -112,8 +112,8 @@ pub fn propagate(catalog: &Catalog, view: &View, par: Option<(&WorkerPool, usize
         }
         if view.minimality() == Minimality::Strong {
             let (d, i) = strongify_bags(&del_guard, &ins_guard);
-            *del_guard = d;
-            *ins_guard = i;
+            **del_guard = d;
+            **ins_guard = i;
         }
     }
     phase_end("ComposeDT(Lemma 3)", del_bag.len() + ins_bag.len(), t);

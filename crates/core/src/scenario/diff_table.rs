@@ -39,8 +39,8 @@ pub fn fold_transaction(catalog: &Catalog, view: &View, tx: &Transaction) -> Res
     compose_into(&mut del_guard, &mut ins_guard, &del_bag, &ins_bag);
     if view.minimality() == Minimality::Strong {
         let (d, i) = strongify_bags(&del_guard, &ins_guard);
-        *del_guard = d;
-        *ins_guard = i;
+        **del_guard = d;
+        **ins_guard = i;
     }
     Ok(())
 }

@@ -1,8 +1,9 @@
 //! Compiled delta programs end-to-end through `Database`: steady-state
 //! propagate must do zero symbolic work (no derivation, no plan
 //! construction — only parameter binding), the empty-log fast path must do
-//! *nothing*, repeated propagates must keep the join-build cache warm, and
-//! crash recovery must rebuild the programs to the same answers.
+//! *nothing*, repeated propagates must read the unchanged join side by key,
+//! the join view's propagate must read as many base rows at any table
+//! size, and crash recovery must rebuild the programs to the same answers.
 //!
 //! Profiling is a process-wide flag, so every flag-dependent assertion
 //! lives in one test body — parallel test threads must not observe each
@@ -19,7 +20,7 @@ fn schema_ab() -> Schema {
 }
 
 /// An equi-join the optimizer compiles to a `HashJoin`, so propagates
-/// exercise the build cache.
+/// probe the join-key indexes.
 fn join_def() -> Expr {
     Expr::table("t0")
         .alias("l")
@@ -135,6 +136,7 @@ fn steady_state_propagate_does_zero_symbolic_work() {
     );
 
     propagate_work_follows_the_change_on_the_bulk_shape();
+    join_view_reads_sales_by_key_at_any_size();
 }
 
 /// dvmbench's `bulk_refresh` in small: one transaction changes `sales`
@@ -302,8 +304,8 @@ fn bulk_cycle(sales_rows: i64) -> Vec<(Vec<String>, (u64, u64))> {
     let join = trees("v");
     let (builds, built_rows) = count(&join, "JoinBuild");
     assert!(
-        builds > 0 && count(&join, "KeyFilter").0 > 0,
-        "joins built by size"
+        builds > 0 && count(&join, "IndexProbe sales").0 > 0,
+        "joins built by size, their key sets looked up in sales"
     );
     assert!(
         built_rows <= 2 * logged,
@@ -361,12 +363,104 @@ fn bulk_cycle(sales_rows: i64) -> Vec<(Vec<String>, (u64, u64))> {
     seen
 }
 
-/// Repeated propagates over a one-sided insert stream: the stable side's
-/// hash-join build is cached once and then only probed — after warmup the
-/// miss counter must freeze while hits keep climbing. The per-view
-/// compiled-plan counters must tell the matching story.
+/// `v`, the bulk shape's join view, with the fan-out held fixed: every
+/// customer has exactly 20 sales at |sales| = 2 000 and 16 000, and one
+/// fixed cycle changes the same sales rows and flips the same customers at
+/// both sizes. `v`'s propagate then reads the same number of `sales` rows
+/// — counted from its profile tree — at both sizes, all of them by key:
+/// it is O(|Δ| × matching rows), not O(|sales|). Part of the one
+/// flag-dependent test body.
+fn join_view_reads_sales_by_key_at_any_size() {
+    let small = sales_rows_read_by_v(2_000);
+    let large = sales_rows_read_by_v(16_000);
+    assert!(small > 0, "the cycle joins against sales");
+    assert_eq!(
+        small, large,
+        "v's propagate reads as many sales rows at 8× |sales|"
+    );
+}
+
+fn sales_rows_read_by_v(sales_rows: i64) -> u64 {
+    use dvm_algebra::lit_str;
+    let customers = sales_rows / 20;
+    let db = Database::new();
+    let customer = db
+        .create_table(
+            "customer",
+            Schema::from_pairs(&[("custId", ValueType::Int), ("score", ValueType::Str)]),
+        )
+        .unwrap();
+    let sales = db
+        .create_table(
+            "sales",
+            Schema::from_pairs(&[("custId", ValueType::Int), ("quantity", ValueType::Int)]),
+        )
+        .unwrap();
+    for c in 0..customers {
+        let score = if c % 10 == 0 { "High" } else { "Low" };
+        customer.insert(tuple![c, score]).unwrap();
+    }
+    for s in 0..sales_rows {
+        sales.insert(tuple![s % customers, s]).unwrap();
+    }
+    let v = Expr::table("customer")
+        .alias("c")
+        .product(Expr::table("sales").alias("s"))
+        .select(
+            Predicate::eq(col("c.custId"), col("s.custId"))
+                .and(Predicate::eq(col("c.score"), lit_str("High"))),
+        )
+        .project(["c.custId", "s.quantity"]);
+    db.create_view("v", v, Scenario::Combined).unwrap();
+    // Sales `s < 100` belong to customer `s` at both sizes.
+    let cycle = |round: i64| {
+        let mut tx = Transaction::new();
+        for s in (30 * round)..(30 * round + 30) {
+            tx = tx
+                .delete_tuple("sales", tuple![s, s])
+                .insert_tuple("sales", tuple![(s * 7) % 100, 5_000_000 + s]);
+        }
+        for c in [0i64, 1, 10, 11] {
+            let (old, new) = match (c % 10 == 0) == (round % 2 == 0) {
+                true => ("High", "Low"),
+                false => ("Low", "High"),
+            };
+            tx = tx
+                .delete_tuple("customer", tuple![c, old])
+                .insert_tuple("customer", tuple![c, new]);
+        }
+        db.execute(&tx).unwrap();
+    };
+    // The warm cycle's probes build the indexes.
+    cycle(0);
+    db.propagate("v").unwrap();
+    cycle(1);
+    db.set_profiling(true);
+    db.propagate("v").unwrap();
+    let report = db.profile_report();
+    db.set_profiling(false);
+    let op = report.ops.iter().rev().find(|o| o.view == "v").unwrap();
+    let nodes: Vec<&dvm_obs::OpProf> = op.evals.iter().flat_map(|t| t.nodes()).collect();
+    assert!(
+        !nodes.iter().any(|n| n.label == "Scan sales"),
+        "v scanned all of sales: {:?}",
+        nodes.iter().map(|n| &n.label).collect::<Vec<_>>()
+    );
+    db.partial_refresh("v").unwrap();
+    assert_eq!(db.query_view("v").unwrap(), db.recompute_view("v").unwrap());
+    nodes
+        .iter()
+        .filter(|n| n.label == "IndexProbe sales")
+        .map(|n| n.rows_out)
+        .sum()
+}
+
+/// Repeated propagates over a one-sided insert stream: the unchanged side
+/// is never scanned, only looked up by key — after warmup its index holds
+/// the same keys while its probe count climbs with every propagate. The
+/// per-view compiled-plan counters must tell the matching story.
 #[test]
-fn repeated_propagates_never_miss_build_cache_after_warmup() {
+fn repeated_propagates_probe_the_unchanged_side_by_key() {
     let db = seeded_join_db();
     db.create_view("vj", join_def(), Scenario::Combined)
         .unwrap();
@@ -376,22 +470,22 @@ fn repeated_propagates_never_miss_build_cache_after_warmup() {
             .unwrap();
         db.propagate("vj").unwrap();
     };
-    // Warmup: first sighting of the insert-only mask compiles its variant
-    // and populates the build cache for the stable t1 side.
+    // Warmup: first sighting of the insert-only mask compiles its variant,
+    // and the first probe builds t1's index.
     run(100);
     run(101);
-    let warm = db.catalog().join_cache().stats();
+    let t1 = db.catalog().require("t1").unwrap();
+    let warm = t1.index_stats();
     for i in 0..6 {
         run(200 + i);
     }
-    let after = db.catalog().join_cache().stats();
+    let after = t1.index_stats();
+    assert_eq!(after.len(), 1, "one index on t1's join key: {after:?}");
+    assert_eq!(after[0].entries, warm[0].entries, "t1 never changed");
     assert_eq!(
-        after.misses, warm.misses,
-        "no build-cache miss after warmup: {warm:?} -> {after:?}"
-    );
-    assert!(
-        after.hits > warm.hits,
-        "warm propagates must probe the cached build: {warm:?} -> {after:?}"
+        after[0].probes,
+        warm[0].probes + 6,
+        "each propagate looks its one key up: {warm:?} -> {after:?}"
     );
 
     // The compiled-program counters surface per view in observability.

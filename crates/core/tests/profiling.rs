@@ -47,7 +47,8 @@ fn churn(u: &Universe, rng: &mut Rng) -> Transaction {
 fn profiler_gates_capture_and_attributes_costs() {
     let u = Universe::small(2);
     let db = seeded_db(&u, 0x1234);
-    db.create_view("vj", join_def(), Scenario::Combined).unwrap();
+    db.create_view("vj", join_def(), Scenario::Combined)
+        .unwrap();
     let mut rng = Rng::new(0x99);
 
     // --- off (the default): maintenance records no operation profiles ---
@@ -57,10 +58,6 @@ fn profiler_gates_capture_and_attributes_costs() {
     let off = db.profile_report();
     assert!(!off.enabled);
     assert!(off.ops.is_empty(), "off path must record no profiles");
-    assert!(
-        off.per_plan.is_empty(),
-        "per-plan cache attribution accrues only while profiling"
-    );
 
     // --- on: propagate and partial_refresh record annotated trees ---
     db.set_profiling(true);
@@ -96,14 +93,10 @@ fn profiler_gates_capture_and_attributes_costs() {
     assert!(rendered.contains("== propagate vj"), "{rendered}");
     assert!(rendered.contains("Scan"), "{rendered}");
     assert!(rendered.contains("pool:"), "{rendered}");
-    assert!(rendered.contains("join cache:"), "{rendered}");
 
     // The report round-trips through its JSON exporter.
     let doc = dvm_obs::json::parse(&on.to_json()).unwrap();
-    assert_eq!(
-        doc.get("enabled"),
-        Some(&dvm_obs::json::Value::Bool(true))
-    );
+    assert_eq!(doc.get("enabled"), Some(&dvm_obs::json::Value::Bool(true)));
     assert!(!doc.get("ops").unwrap().as_arr().unwrap().is_empty());
 
     // --- re-enabling starts a fresh phase ---

@@ -83,7 +83,12 @@ impl Transaction {
             let current = state
                 .bag(table)
                 .map_err(|_| DeltaError::UnknownTable(table.clone()))?;
-            let del = del.min_intersect(current);
+            // Deletions of rows that are there (the usual case) are kept
+            // as they are: a copy, not a rebuild.
+            let del = match del.is_subbag_of(current) {
+                true => del.clone(),
+                false => del.min_intersect(current),
+            };
             out.changes.insert(table.clone(), (del, ins.clone()));
         }
         Ok(out)

@@ -37,6 +37,7 @@ use crate::hasher::{FxBuildHasher, FxHashMap};
 use crate::tuple::Tuple;
 use dvm_obs::profile::{self, ShardProfile};
 use dvm_testkit::WorkerPool;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
@@ -440,6 +441,41 @@ impl Bag {
         self.union_assign(ins);
     }
 
+    /// [`Bag::apply_delta`], calling `seen(stored, m)` for every tuple it
+    /// changes: `stored` is the bag's own copy (see [`Tuple::addr`]) and `m`
+    /// its multiplicity after the change, 0 when it left the bag.
+    pub fn apply_delta_observed(
+        &mut self,
+        del: &Bag,
+        ins: &Bag,
+        mut seen: impl FnMut(&Tuple, u64),
+    ) {
+        let (mut removed, mut added) = (0, 0);
+        for (t, m) in del.iter() {
+            let map = self.map_for_mut(t);
+            let Some((stored, n)) = map.remove_entry(t) else {
+                continue;
+            };
+            let left = n.saturating_sub(m);
+            removed += n - left;
+            if left > 0 {
+                map.insert(stored.clone(), left);
+            }
+            seen(&stored, left);
+        }
+        for (t, m) in ins.iter() {
+            added += m;
+            let mut e = match self.map_for_mut(t).entry(t.clone()) {
+                Entry::Occupied(e) => e,
+                Entry::Vacant(e) => e.insert_entry(0),
+            };
+            *e.get_mut() += m;
+            seen(e.key(), *e.get());
+        }
+        self.len = self.len - removed + added;
+        self.maybe_promote();
+    }
+
     // ---- per-shard parallel paths ----------------------------------------
 
     /// Apply a delta with the per-shard work fanned across `pool` at up to
@@ -703,6 +739,28 @@ mod tests {
             bag.insert_n(tuple![v], m);
         }
         bag
+    }
+
+    #[test]
+    fn observed_apply_reports_each_change_with_the_stored_tuple() {
+        let mut b = Bag::new();
+        let kept = tuple![1];
+        b.insert_n(kept.clone(), 3);
+        b.insert(tuple![2]);
+        let (del, ins) = (
+            Bag::from_tuples([tuple![1], tuple![2], tuple![9]]),
+            Bag::from_tuples([tuple![3], tuple![1]]),
+        );
+        let mut seen = Vec::new();
+        let mut expected = b.clone();
+        expected.apply_delta(&del, &ins);
+        b.apply_delta_observed(&del, &ins, |t, m| seen.push((t.clone(), m)));
+        assert_eq!(b, expected);
+        seen.sort();
+        let one = |m| (tuple![1], m);
+        assert_eq!(seen, vec![one(2), one(3), (tuple![2], 0), (tuple![3], 1)]);
+        let stored = seen.iter().find(|(t, m)| *t == kept && *m == 3).unwrap();
+        assert_eq!(stored.0.addr(), kept.addr(), "the bag's own allocation");
     }
 
     #[test]

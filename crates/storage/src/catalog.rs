@@ -3,7 +3,6 @@
 
 use crate::bag::Bag;
 use crate::error::{Result, StorageError};
-use crate::joincache::JoinBuildCache;
 use crate::schema::Schema;
 use crate::snapshot::Snapshot;
 use crate::table::{CommitGuard, Table, TableKind};
@@ -27,24 +26,12 @@ pub enum CommitMode {
 #[derive(Default)]
 pub struct Catalog {
     tables: RwLock<BTreeMap<String, Arc<Table>>>,
-    /// Hash-join build tables cached across evaluations over this catalog's
-    /// state; entries are validated against table data epochs, so stale
-    /// reuse is impossible by construction (see [`JoinBuildCache`]).
-    join_cache: Arc<JoinBuildCache>,
 }
 
 impl Catalog {
     /// An empty catalog.
     pub fn new() -> Self {
         Catalog::default()
-    }
-
-    /// The catalog-wide join-build cache. Evaluations that pin this
-    /// catalog's state share it automatically; commits invalidate touched
-    /// tables' entries promptly (epoch validation makes that a memory
-    /// optimization, not a correctness requirement).
-    pub fn join_cache(&self) -> &Arc<JoinBuildCache> {
-        &self.join_cache
     }
 
     /// Create a table; errors if the name is taken.

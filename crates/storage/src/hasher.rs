@@ -29,9 +29,8 @@ const ROTATE: u32 = 5;
 
 /// A fast, non-cryptographic, non-DoS-resistant hasher.
 ///
-/// Deterministic across processes and runs (no random state), which the
-/// join-build cache exploits: plan fingerprints computed in one evaluation
-/// are valid keys in the next.
+/// Deterministic across processes and runs (no random state), so plan
+/// fingerprints computed at one time compare equal at another.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -39,9 +38,8 @@ pub struct FxHasher {
 
 impl FxHasher {
     /// A hasher starting from an explicit state — used to derive
-    /// independent fingerprints from one canonical encoding (the
-    /// join-build cache combines two differently-seeded hashes into a
-    /// 128-bit key).
+    /// independent fingerprints from one canonical encoding (plan
+    /// fingerprints combine two differently-seeded hashes into 128 bits).
     pub fn with_seed(seed: u64) -> Self {
         FxHasher { hash: seed }
     }
@@ -119,13 +117,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// Hash one value with an [`FxHasher`] seeded at `seed`.
-pub fn fx_hash_with_seed<T: std::hash::Hash + ?Sized>(value: &T, seed: u64) -> u64 {
-    let mut h = FxHasher::with_seed(seed);
-    value.hash(&mut h);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,10 +130,7 @@ mod tests {
     fn deterministic_across_hashers() {
         assert_eq!(hash_of(&42u64), hash_of(&42u64));
         assert_eq!(hash_of(&"hello"), hash_of(&"hello"));
-        assert_eq!(
-            hash_of(&vec![1i64, 2, 3]),
-            hash_of(&vec![1i64, 2, 3]),
-        );
+        assert_eq!(hash_of(&vec![1i64, 2, 3]), hash_of(&vec![1i64, 2, 3]),);
     }
 
     #[test]
@@ -162,10 +150,13 @@ mod tests {
 
     #[test]
     fn seeded_hashes_are_independent() {
-        let a = fx_hash_with_seed(&7u64, 0);
-        let b = fx_hash_with_seed(&7u64, 0x9e37_79b9_7f4a_7c15);
-        assert_ne!(a, b);
-        assert_eq!(a, fx_hash_with_seed(&7u64, 0));
+        let seeded = |seed| {
+            let mut h = FxHasher::with_seed(seed);
+            7u64.hash(&mut h);
+            h.finish()
+        };
+        assert_ne!(seeded(0), seeded(0x9e37_79b9_7f4a_7c15));
+        assert_eq!(seeded(0), seeded(0));
     }
 
     #[test]
@@ -188,7 +179,11 @@ mod tests {
         for i in 0..64u64 {
             buckets.insert(hash_of(&i) & 0x3f);
         }
-        assert!(buckets.len() > 32, "only {} distinct buckets", buckets.len());
+        assert!(
+            buckets.len() > 32,
+            "only {} distinct buckets",
+            buckets.len()
+        );
     }
 
     #[test]

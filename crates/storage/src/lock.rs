@@ -23,19 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Process-wide monotone version source for [`InstrumentedRwLock::version`].
-///
-/// Versions are *globally* unique, not per-lock: a lock created after
-/// another was dropped can never repeat the dropped lock's versions, so a
-/// `(table name, version)` pair identifies table *contents* even across a
-/// drop-and-recreate of the same name. The join-build cache relies on this
-/// to validate entries by version equality alone.
-static GLOBAL_VERSION: AtomicU64 = AtomicU64::new(0);
-
-fn next_version() -> u64 {
-    GLOBAL_VERSION.fetch_add(1, Ordering::Relaxed) + 1
-}
-
 /// An owning read guard: keeps the lock's `Arc` alive, so it has no borrow
 /// lifetime and can be stored in evaluator state while the catalog entry that
 /// produced it goes out of scope.
@@ -145,15 +132,11 @@ impl LockMetrics {
     }
 }
 
-/// An RwLock that records hold and wait times into [`LockMetrics`] and
-/// stamps a globally-unique [`version`](InstrumentedRwLock::version) on
-/// every write acquisition (the table *data epoch* the join-build cache
-/// validates against).
+/// An RwLock that records hold and wait times into [`LockMetrics`].
 #[derive(Debug)]
 pub struct InstrumentedRwLock<T> {
     inner: Arc<RwLock<T>>,
     metrics: LockMetrics,
-    version: AtomicU64,
 }
 
 impl<T: Default> Default for InstrumentedRwLock<T> {
@@ -163,13 +146,11 @@ impl<T: Default> Default for InstrumentedRwLock<T> {
 }
 
 impl<T> InstrumentedRwLock<T> {
-    /// Wrap a value. The initial version is already globally unique, so
-    /// two locks never share a version even before their first write.
+    /// Wrap a value.
     pub fn new(value: T) -> Self {
         InstrumentedRwLock {
             inner: Arc::new(RwLock::new(value)),
             metrics: LockMetrics::default(),
-            version: AtomicU64::new(next_version()),
         }
     }
 
@@ -197,13 +178,10 @@ impl<T> InstrumentedRwLock<T> {
     }
 
     /// Acquire a write guard, recording wait time; its hold time is
-    /// recorded on drop. Stamps a fresh globally-unique version *after*
-    /// acquisition, so any reader that observes the old version under a
-    /// read lock is guaranteed to have seen the pre-write contents.
+    /// recorded on drop.
     pub fn write(&self) -> TimedWriteGuard<'_, T> {
         let start = Instant::now();
         let guard = self.inner.write();
-        self.version.store(next_version(), Ordering::Release);
         let acquired = Instant::now();
         self.metrics
             .record_write_wait(acquired.duration_since(start).as_nanos() as u64);
@@ -212,14 +190,6 @@ impl<T> InstrumentedRwLock<T> {
             acquired,
             metrics: &self.metrics,
         }
-    }
-
-    /// The version stamped by the most recent write acquisition (or at
-    /// construction, if never written). Monotone per lock and unique
-    /// across all locks in the process. Read it while holding a read
-    /// guard to get a value that describes exactly the pinned contents.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
     }
 
     /// The lock's metrics.
@@ -401,25 +371,5 @@ mod tests {
     fn into_inner() {
         let l = InstrumentedRwLock::new(42);
         assert_eq!(l.into_inner(), 42);
-    }
-
-    #[test]
-    fn versions_bump_on_write_and_never_repeat_across_locks() {
-        let a = InstrumentedRwLock::new(0u32);
-        let v0 = a.version();
-        {
-            let _r = a.read();
-        }
-        assert_eq!(a.version(), v0, "reads do not change the version");
-        {
-            let _w = a.write();
-        }
-        let v1 = a.version();
-        assert!(v1 > v0, "writes bump the version");
-        drop(a);
-        // A fresh lock (even conceptually "recreating" the same value)
-        // starts past every version the dropped lock ever had.
-        let b = InstrumentedRwLock::new(0u32);
-        assert!(b.version() > v1, "versions are globally unique");
     }
 }

@@ -33,6 +33,12 @@ impl Tuple {
         self.0.get(i)
     }
 
+    /// The allocation's address: equal for exactly the clones of one tuple
+    /// (not merely equal values) while any of them is alive.
+    pub fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0) as *const Value as usize
+    }
+
     /// All fields as a slice.
     pub fn values(&self) -> &[Value] {
         &self.0

@@ -150,9 +150,14 @@ impl Hash for Value {
                 2u8.hash(state);
                 i.hash(state);
             }
+            // The multiply of an FxHash fold carries entropy only upward,
+            // and an integral `f64` (every normalized join key) varies only
+            // in its top bits: folded down, or the low bits `HashMap` picks
+            // buckets with would be the same for every such key.
             Value::Double(d) => {
                 3u8.hash(state);
-                d.to_bits().hash(state);
+                let b = d.to_bits();
+                (b ^ (b >> 26) ^ (b >> 42) ^ (b >> 52)).hash(state);
             }
             Value::Str(s) => {
                 4u8.hash(state);
@@ -214,6 +219,20 @@ mod tests {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
         h.finish()
+    }
+
+    #[test]
+    fn integral_doubles_spread_over_low_bits() {
+        use crate::hasher::{FxBuildHasher, FxHashSet};
+        use std::hash::BuildHasher;
+        // Normalized join keys are integral `f64`s; their hashes must
+        // differ where `HashMap` picks buckets.
+        let mut buckets = FxHashSet::default();
+        for i in 0..2048 {
+            let key = [Value::Double(i as f64)];
+            buckets.insert(FxBuildHasher::default().hash_one(&key[..]) & 0x7ff);
+        }
+        assert!(buckets.len() > 1024, "only {} buckets", buckets.len());
     }
 
     #[test]

@@ -157,6 +157,12 @@ impl<T> Mutex<T> {
         self.0.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    /// Mutable access without locking: `&mut self` already excludes
+    /// every other user.
+    pub fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Consume the mutex, returning the value.
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(|p| p.into_inner())
