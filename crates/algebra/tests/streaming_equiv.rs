@@ -115,59 +115,6 @@ fn except_expansion_matches_direct_operator_on_null_rows() {
         });
 }
 
-/// Sharded ≡ unsharded: forcing every table bag into the hash-partitioned
-/// representation must not change any query result, in either executor.
-/// Random plans over the mixed universe cover NULL join keys, coercing
-/// Int/Double keys, and every operator the optimizer can emit.
-#[test]
-fn sharded_state_matches_flat_on_random_plans() {
-    let u = Universe::mixed(3);
-    let provider = u.provider();
-    Prop::new("sharded_state_matches_flat_on_random_plans")
-        .cases(192)
-        .run(|rng| {
-            let flat_state = u.state(rng, 5);
-            let mut sharded_state = flat_state.clone();
-            for bag in sharded_state.values_mut() {
-                bag.ensure_sharded();
-            }
-            let e = u.expr(rng, 3);
-            let plan = compile(&e, &provider).expect("typecheck").plan;
-            let flat = eval(&plan, &flat_state).expect("eval");
-            let sharded = eval(&plan, &sharded_state).expect("eval");
-            assert_eq!(flat, sharded, "streaming diverged on sharded state: {e}");
-            let flat_ref = eval_reference(&plan, &flat_state).expect("eval");
-            let sharded_ref = eval_reference(&plan, &sharded_state).expect("eval");
-            assert_eq!(flat_ref, sharded_ref, "reference diverged on sharded state: {e}");
-            assert_eq!(flat, flat_ref, "executors diverged: {e}");
-        });
-}
-
-/// Sharded ≡ unsharded on aggregate plans: grouping hashes whole key
-/// prefixes, orthogonal to the shard routing hash — results must be
-/// identical when inputs are pre-sharded.
-#[test]
-fn sharded_state_matches_flat_on_aggregate_plans() {
-    let u = Universe::mixed(3);
-    let provider = u.provider();
-    Prop::new("sharded_state_matches_flat_on_aggregate_plans")
-        .cases(192)
-        .run(|rng| {
-            let flat_state = u.state(rng, 5);
-            let mut sharded_state = flat_state.clone();
-            for bag in sharded_state.values_mut() {
-                bag.ensure_sharded();
-            }
-            let e = u.agg_expr(rng, 2);
-            let plan = compile(&e, &provider).expect("typecheck").plan;
-            let flat = eval(&plan, &flat_state).expect("eval");
-            let sharded = eval(&plan, &sharded_state).expect("eval");
-            assert_eq!(flat, sharded, "streaming diverged on sharded state: {e}");
-            let sharded_ref = eval_reference(&plan, &sharded_state).expect("eval");
-            assert_eq!(flat, sharded_ref, "reference diverged on sharded state: {e}");
-        });
-}
-
 /// The streaming executor over the *optimized* plan still agrees with the
 /// reference evaluator over the *unoptimized* plan — fusion composes with
 /// join extraction and filter pushdown without changing semantics.

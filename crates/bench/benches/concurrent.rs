@@ -1,27 +1,21 @@
-//! Concurrency benchmarks: parallel `propagate_all` / `refresh_all` against
-//! the equivalent serial per-view loops, and multi-stream `execute`
-//! throughput through the commit protocol.
+//! Concurrency benchmarks: per-view propagate / refresh loops over six
+//! views with a backlog, and multi-stream `execute` throughput through the
+//! commit protocol.
 //!
 //! Same harness conventions as `micro.rs`: under `cargo bench` it samples,
 //! prints a table, and writes `results/BENCH_concurrent.json`; under
 //! `cargo test` (cargo passes `--test`) it smoke-runs every body once.
-//! Worker counts are set explicitly with `set_maintenance_threads`, so the
-//! serial/parallel comparison is meaningful regardless of host core count
-//! (on a single-core host the parallel rows measure fan-out overhead).
 
-use dvm_algebra::{col, lit, Expr, Predicate};
 use dvm_bench::report::{summary_table, write_json_with_host};
 use dvm_bench::retail_db;
 use dvm_core::{Database, Minimality, Scenario};
 use dvm_delta::Transaction;
-use dvm_storage::{tuple, Bag, Schema, ValueType};
 use dvm_testkit::bench::{Bench, Summary};
 use dvm_workload::runner::run_stream_concurrent;
 use dvm_workload::view_expr;
 
 const VIEWS: usize = 6;
 const BACKLOG_TXS: usize = 40;
-const LARGE_BACKLOG_TXS: i64 = 10;
 
 /// A retail database with `VIEWS` Combined views over the same base tables
 /// and a deferred backlog on every log, ready to propagate or refresh.
@@ -54,20 +48,6 @@ fn bench_propagate_all(b: &Bench, out: &mut Vec<Summary>) {
             }
         },
     ));
-    for workers in [2usize, 4] {
-        out.push(b.run_batched(
-            format!("propagate_all/parallel_{workers}w/{VIEWS}views"),
-            || {
-                let db = multi_view_backlog(21);
-                db.set_maintenance_threads(workers);
-                db
-            },
-            |db| {
-                let done = db.propagate_all().unwrap();
-                assert_eq!(done.len(), VIEWS);
-            },
-        ));
-    }
 }
 
 fn bench_refresh_all(b: &Bench, out: &mut Vec<Summary>) {
@@ -80,77 +60,6 @@ fn bench_refresh_all(b: &Bench, out: &mut Vec<Summary>) {
                 db.refresh(&name).unwrap();
             }
         },
-    ));
-    for workers in [2usize, 4] {
-        out.push(b.run_batched(
-            format!("refresh_all/parallel_{workers}w/{VIEWS}views"),
-            || {
-                let db = multi_view_backlog(22);
-                db.set_maintenance_threads(workers);
-                db
-            },
-            |db| db.refresh_all().unwrap(),
-        ));
-    }
-}
-
-/// One Combined view over a ~1.2M-row fact table — far past
-/// `Bag::PROMOTE_DISTINCT`, so the MV and differential tables are
-/// hash-sharded — with a 50k-row logged backlog. This is the scenario
-/// where a single view's propagate dominates and only *intra-view*
-/// per-shard parallelism can help; inter-view fan-out has nothing to
-/// split. Quick mode scales the table down but stays sharded.
-fn large_view_backlog(quick: bool, workers: usize) -> Database {
-    let rows: i64 = if quick { 20_000 } else { 1_200_000 };
-    let per: i64 = if quick { 500 } else { 5_000 };
-    let db = Database::new();
-    let schema = Schema::from_pairs(&[("a", ValueType::Int), ("b", ValueType::Int)]);
-    let fact = db.create_table("fact", schema).unwrap();
-    let mut seed = Bag::new();
-    for k in 0..rows {
-        seed.insert(tuple![k, k % 97]);
-    }
-    fact.replace(seed).unwrap();
-    db.create_view(
-        "BIG",
-        Expr::table("fact").select(Predicate::gt(col("a"), lit(-1i64))),
-        Scenario::Combined,
-    )
-    .unwrap();
-    db.set_maintenance_threads(workers);
-    for i in 0..LARGE_BACKLOG_TXS {
-        let (mut del, mut ins) = (Bag::new(), Bag::new());
-        for j in 0..per {
-            let k = i * per + j;
-            del.insert(tuple![k, k % 97]);
-            ins.insert(tuple![rows + k, k % 89]);
-        }
-        db.execute(
-            &Transaction::new()
-                .delete("fact".to_string(), del)
-                .insert("fact".to_string(), ins),
-        )
-        .unwrap();
-    }
-    db
-}
-
-/// Serial vs 4-worker propagate of the single large view: the parallel
-/// side exercises the per-shard Lemma 3 fold on the persistent pool. The
-/// obs_guard gate divides these two series (armed as a speedup floor only
-/// when the recording host had ≥4 cores — see `host.parallelism` in the
-/// JSON artifact).
-fn bench_propagate_large(b: &Bench, out: &mut Vec<Summary>, quick: bool) {
-    let b = b.clone().samples(5);
-    out.push(b.run_batched(
-        "propagate_large/serial_loop",
-        || large_view_backlog(quick, 1),
-        |db| db.propagate("BIG").unwrap(),
-    ));
-    out.push(b.run_batched(
-        "propagate_large/parallel_4w",
-        || large_view_backlog(quick, 4),
-        |db| db.propagate("BIG").unwrap(),
     ));
 }
 
@@ -182,11 +91,14 @@ fn bench_concurrent_execute(b: &Bench, out: &mut Vec<Summary>) {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--test");
-    let bench = if quick { Bench::quick() } else { Bench::from_env() };
+    let bench = if quick {
+        Bench::quick()
+    } else {
+        Bench::from_env()
+    };
     let mut out = Vec::new();
     bench_propagate_all(&bench, &mut out);
     bench_refresh_all(&bench, &mut out);
-    bench_propagate_large(&bench, &mut out, quick);
     bench_concurrent_execute(&bench, &mut out);
     if quick {
         println!("concurrent: {} benchmarks smoke-ran", out.len());
@@ -200,8 +112,8 @@ fn main() {
     let dir = dir.as_path();
     if std::fs::create_dir_all(dir).is_ok() {
         let path = dir.join("BENCH_concurrent.json");
-        // Stamp the recording host's parallelism: the serial-vs-parallel
-        // gates in obs_guard only demand a speedup when one was possible.
+        // Stamp the recording host's parallelism: the execute baseline
+        // obs_guard re-measures depends on it.
         let parallelism = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);

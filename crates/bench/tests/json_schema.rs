@@ -341,16 +341,11 @@ fn check_ingest_report(doc: &Value, ctx: &str) {
     assert!(par >= 1.0, "{ctx}: host.parallelism must be ≥ 1");
 }
 
-/// `BENCH_concurrent.json` must carry the serial/parallel propagate series
-/// the obs_guard parallel-propagate gate divides, the execute baseline the
-/// overhead guard re-measures, and the `host.parallelism` stamp that tells
-/// the gate whether a speedup was even possible on the recording machine.
+/// `BENCH_concurrent.json` must carry the execute baseline the obs_guard
+/// overhead guard re-measures and the `host.parallelism` stamp of the
+/// machine that recorded it.
 fn check_concurrent_report(doc: &Value, ctx: &str) {
-    const REQUIRED: &[&str] = &[
-        "propagate_large/serial_loop",
-        "propagate_large/parallel_4w",
-        "execute_streams/1stream/40tx",
-    ];
+    const REQUIRED: &[&str] = &["execute_streams/1stream/40tx"];
     let benches = require(doc, "benchmarks", ctx).as_arr().unwrap();
     let names: Vec<&str> = benches
         .iter()
@@ -359,7 +354,7 @@ fn check_concurrent_report(doc: &Value, ctx: &str) {
     for want in REQUIRED {
         assert!(
             names.contains(want),
-            "{ctx}: missing benchmark `{want}` (the obs_guard gates depend on it)"
+            "{ctx}: missing benchmark `{want}` (the obs_guard gate depends on it)"
         );
     }
     let host = require(doc, "host", ctx);
@@ -447,9 +442,6 @@ fn check_profile_report(doc: &Value, ctx: &str) {
                 "{octx}: a propagate with work to do must record `BindParams`"
             );
         }
-        require(op, "shards", &octx)
-            .as_arr()
-            .unwrap_or_else(|| panic!("{octx}: `shards` is not an array"));
     }
 
     const REQUIRED_SERIES: &[&str] = &[

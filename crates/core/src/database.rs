@@ -14,8 +14,8 @@
 //! weak-minimality normalization through delta apply — closing the TOCTOU
 //! window where a concurrent writer could invalidate the weakly-minimal
 //! precondition Lemma 1 depends on. `refresh`/`propagate` claim a view's
-//! base tables shared, so maintenance of independent views runs in
-//! parallel while conflicting writers serialize. Plain readers
+//! base tables shared, so maintenance of independent views can run on
+//! several threads at once while conflicting writers serialize. Plain readers
 //! (`query_view`, `eval`, `read_through`) never touch commit claims.
 //!
 //! **Lock order.** Nested acquisition always follows
@@ -132,15 +132,12 @@ pub struct Database {
     /// lets `execute` detect a racing `create_view`/`drop_view` after it
     /// has acquired commit claims, and retry with the fresh set.
     views_gen: AtomicU64,
-    /// Worker threads for fanning maintenance across views: 0 = pick from
-    /// `std::thread::available_parallelism`.
+    /// Worker threads for `execute`'s per-view makesafe fan-out: 0 = pick
+    /// from `std::thread::available_parallelism`.
     maintenance_threads: AtomicUsize,
-    /// Persistent maintenance worker pool. Threads are spawned lazily on
-    /// first parallel fan-out and parked between batches, replacing the
-    /// per-call spawn/join of the old `with_workers` shims — the dominant
-    /// fixed cost that made `propagate_all` slower parallel than serial.
-    /// Fan-outs claim items dynamically (work-stealing), so stragglers no
-    /// longer gate a whole stride.
+    /// Persistent worker pool behind the makesafe fan-out. Threads are
+    /// spawned lazily on the first parallel fan-out and parked between
+    /// batches; views are claimed dynamically (work-stealing).
     pool: WorkerPool,
     /// The shared epoch log (Section 7): transactions append once,
     /// regardless of how many shared-log views exist.
@@ -221,10 +218,10 @@ impl Database {
 
     /// Enable or disable maintenance profiling (process-wide). While on,
     /// every `propagate`/`refresh`/`partial_refresh` records an annotated
-    /// operator tree plus shard/pool/cache attribution, retrievable via
-    /// [`Database::profile_report`]. Off (the default), instrumented sites
-    /// pay one relaxed atomic load. Turning profiling on clears previously
-    /// stored operation profiles so the report covers one phase.
+    /// operator tree, retrievable via [`Database::profile_report`]. Off
+    /// (the default), instrumented sites pay one relaxed atomic load.
+    /// Turning profiling on clears previously stored operation profiles so
+    /// the report covers one phase.
     pub fn set_profiling(&self, on: bool) {
         if on && !dvm_obs::profiling_on() {
             self.profiles.lock().clear();
@@ -299,11 +296,10 @@ impl Database {
         }
     }
 
-    /// Set the number of worker threads used to fan per-view maintenance
-    /// work (`makesafe` in `execute`, [`Database::propagate_all`],
-    /// [`Database::refresh_all`]) across views. `0` (the default) sizes the
-    /// pool from `std::thread::available_parallelism`; `1` forces the
-    /// serial path.
+    /// Set the number of worker threads `execute` fans a transaction's
+    /// per-view `makesafe` across. `0` (the default) sizes the pool from
+    /// `std::thread::available_parallelism`; `1` forces the serial path.
+    /// Propagate and refresh always run on the caller's thread.
     pub fn set_maintenance_threads(&self, n: usize) {
         self.maintenance_threads.store(n, Ordering::Relaxed);
         // Pre-grow the persistent pool so the first parallel fan-out does
@@ -312,15 +308,6 @@ impl Database {
         if n > 1 {
             self.pool.ensure_threads(n - 1);
         }
-    }
-
-    /// Pool handle + width for per-shard parallelism *inside* a single
-    /// view operation (propagate's Lemma 3 fold, partial_refresh's delta
-    /// apply). `None` when the configuration resolves to serial. Width is
-    /// capped at the shard count — more workers than shards cannot help.
-    fn intra_view_par(&self) -> Option<(&WorkerPool, usize)> {
-        let width = self.maintenance_workers(Bag::SHARDS);
-        (width > 1).then_some((&self.pool, width))
     }
 
     /// Worker count for a fan-out over `jobs` independent items (at least
@@ -1003,7 +990,6 @@ impl Database {
                 op: op.label(),
                 total_nanos: nanos,
                 evals: cap.evals,
-                shards: cap.shards,
             });
         }
         self.log_op(&redo)
@@ -1016,12 +1002,10 @@ impl Database {
             match view.scenario() {
                 Scenario::Immediate => Ok(()), // always consistent
                 Scenario::BaseLog => base_log::refresh(&self.catalog, view),
-                Scenario::DiffTable => {
-                    diff_table::apply_diff_tables(&self.catalog, view, self.intra_view_par())
-                }
+                Scenario::DiffTable => diff_table::apply_diff_tables(&self.catalog, view),
                 Scenario::Combined => {
                     self.drain_shared(view)?;
-                    combined::refresh(&self.catalog, view, self.intra_view_par())
+                    combined::refresh(&self.catalog, view)
                 }
             }
         })
@@ -1032,7 +1016,7 @@ impl Database {
     pub fn propagate(&self, name: &str) -> Result<()> {
         self.maintain(name, EventKind::Propagate, true, |view| {
             self.drain_shared(view)?;
-            combined::propagate(&self.catalog, view, self.intra_view_par())
+            combined::propagate(&self.catalog, view)
         })
     }
 
@@ -1043,38 +1027,31 @@ impl Database {
         // Touches only the view's own MV and differential tables, so the
         // maintenance mutex suffices — no base-table claims needed.
         self.maintain(name, EventKind::PartialRefresh, false, |view| {
-            combined::partial_refresh(&self.catalog, view, self.intra_view_par())
+            combined::partial_refresh(&self.catalog, view)
         })
     }
 
-    /// Run an operation for each named view, fanning independent views
-    /// across the persistent worker pool (per-view serialization and
-    /// writer conflicts are handled by the maintenance mutex and commit
-    /// claims the ops themselves take). Views are claimed dynamically, so
-    /// one large view does not serialize the rest of its stride. Every
-    /// view runs whatever the worker count — a failing view never leaves
-    /// the ones after it unmaintained on a narrow host only — and the
-    /// result is the first error in input order.
-    fn for_each_view_parallel(
-        &self,
-        names: &[String],
-        op: impl Fn(&str) -> Result<()> + Sync,
-    ) -> Result<()> {
-        // A width of 1 (or a single view) runs inline on this thread.
-        let n = self.maintenance_workers(names.len());
-        self.pool
-            .run(names.len(), n, |i| op(&names[i]))
-            .into_iter()
-            .collect()
+    /// Run an operation for each named view in order, on this thread. A
+    /// failing view does not stop the ones after it; the result is the
+    /// first error.
+    fn for_each_view(names: &[String], op: impl Fn(&str) -> Result<()>) -> Result<()> {
+        let mut first = Ok(());
+        for name in names {
+            let r = op(name);
+            if first.is_ok() {
+                first = r;
+            }
+        }
+        first
     }
 
-    /// `propagate_C` for the named views, independent views in parallel.
+    /// `propagate_C` for the named views, in order.
     pub fn propagate_many(&self, names: &[String]) -> Result<()> {
-        self.for_each_view_parallel(names, |name| self.propagate(name))
+        Self::for_each_view(names, |name| self.propagate(name))
     }
 
-    /// `propagate_C` for every [`Scenario::Combined`] view, independent
-    /// views in parallel. Returns the names propagated.
+    /// `propagate_C` for every [`Scenario::Combined`] view. Returns the
+    /// names propagated.
     pub fn propagate_all(&self) -> Result<Vec<String>> {
         let names: Vec<String> = self
             .views
@@ -1087,12 +1064,12 @@ impl Database {
         Ok(names)
     }
 
-    /// `refresh_*` for the named views, independent views in parallel.
+    /// `refresh_*` for the named views, in order.
     pub fn refresh_many(&self, names: &[String]) -> Result<()> {
-        self.for_each_view_parallel(names, |name| self.refresh(name))
+        Self::for_each_view(names, |name| self.refresh(name))
     }
 
-    /// `refresh_*` for every view, independent views in parallel.
+    /// `refresh_*` for every view.
     pub fn refresh_all(&self) -> Result<()> {
         self.refresh_many(&self.view_names())
     }
@@ -1961,9 +1938,10 @@ mod tests {
         ));
     }
 
-    /// `propagate_many` must not behave differently by core count: a
-    /// failing view stops neither the serial nor the pooled fan-out, and
-    /// both report the first error in input order.
+    /// `propagate_many` does not depend on the configured worker width
+    /// (which sizes only `execute`'s makesafe fan-out): at either width a
+    /// failing view does not stop the one after it, and its error comes
+    /// back.
     #[test]
     fn propagate_many_runs_every_view_at_any_width() {
         for threads in [1, 2] {
@@ -1990,6 +1968,62 @@ mod tests {
                 "{threads} thread(s): the view after the failing one still propagated"
             );
         }
+    }
+
+    /// Propagate and refresh run on the caller's thread: `propagate_many`,
+    /// `refresh_all` and a policy tick that propagates several views hand
+    /// no job to the worker pool, even with a pool width of 2. A failing
+    /// view stops none of the views after it, and the first error in
+    /// input order is the one returned.
+    #[test]
+    fn maintenance_never_goes_through_the_pool() {
+        let db = db_with_r();
+        db.set_maintenance_threads(2);
+        for (name, scenario) in [
+            ("im", Scenario::Immediate),
+            ("c1", Scenario::Combined),
+            ("bl", Scenario::BaseLog),
+            ("c2", Scenario::Combined),
+        ] {
+            db.create_view(name, Expr::table("r"), scenario).unwrap();
+        }
+        let jobs = || db.profile_report().pool.total_jobs();
+        let logged = |v: &str| db.aux_sizes(v).unwrap().0;
+        db.execute(&Transaction::new().insert_tuple("r", tuple![7]))
+            .unwrap();
+        assert!(logged("c1") > 0 && logged("c2") > 0);
+
+        let before = jobs();
+        let names = ["im", "c1", "bl", "c2"].map(String::from);
+        let err = db.propagate_many(&names).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::WrongScenario { view, .. } if view == "im"),
+            "the first error in input order: {err:?}"
+        );
+        assert_eq!(
+            (logged("c1"), logged("c2")),
+            (0, 0),
+            "the views after a failing one still propagated"
+        );
+        db.refresh_all().unwrap();
+        for v in names {
+            assert_eq!(db.query_view(&v).unwrap(), db.recompute_view(&v).unwrap());
+        }
+        assert_eq!(jobs(), before, "propagate_many and refresh_all");
+
+        db.execute(&Transaction::new().insert_tuple("r", tuple![8]))
+            .unwrap();
+        let mut driver = crate::PolicyDriver::new(&db);
+        driver
+            .add_view("c1", crate::RefreshPolicy::Policy1 { k: 1, m: 100 })
+            .unwrap();
+        driver
+            .add_view("c2", crate::RefreshPolicy::Policy2 { k: 1, m: 100 })
+            .unwrap();
+        let before = jobs();
+        assert_eq!(driver.tick().unwrap().propagates, 2);
+        assert_eq!((logged("c1"), logged("c2")), (0, 0));
+        assert_eq!(jobs(), before, "a tick that propagates two views");
     }
 
     #[test]

@@ -50,11 +50,10 @@ pub enum RefreshPolicy {
     /// (time since last refresh, from [`Database::staleness`]) under an
     /// explicit bound, instead of refreshing on a blind period. Each tick
     /// the driver reads the staleness gauges, computes every SLA view's
-    /// deadline, and refreshes — earliest deadline first, batched through
-    /// the maintenance worker pool — exactly the views whose deadlines
-    /// would pass before the next tick. Combined-scenario views also join
-    /// the tick's propagate batch so the deadline refresh applies mostly
-    /// precomputed differentials.
+    /// deadline, and refreshes — earliest deadline first — exactly the
+    /// views whose deadlines would pass before the next tick.
+    /// Combined-scenario views also join the tick's propagate batch so the
+    /// deadline refresh applies mostly precomputed differentials.
     Sla {
         /// Maximum tolerated nanoseconds since the last completed refresh.
         staleness_bound: u64,
@@ -70,7 +69,11 @@ impl fmt::Display for RefreshPolicy {
             RefreshPolicy::Policy1 { k, m } => write!(f, "policy1(k={k}, m={m})"),
             RefreshPolicy::Policy2 { k, m } => write!(f, "policy2(k={k}, m={m})"),
             RefreshPolicy::Sla { staleness_bound } => {
-                write!(f, "sla(bound={})", dvm_obs::fmt_nanos(*staleness_bound as f64))
+                write!(
+                    f,
+                    "sla(bound={})",
+                    dvm_obs::fmt_nanos(*staleness_bound as f64)
+                )
             }
         }
     }
@@ -209,8 +212,8 @@ impl<'a> PolicyDriver<'a> {
     /// refresh applies the freshest differential tables).
     ///
     /// All due propagates run as one batch through
-    /// [`Database::propagate_many`], so independent views propagate in
-    /// parallel; refreshes then run in registration order. SLA views whose
+    /// [`Database::propagate_many`]; refreshes then run in registration
+    /// order. SLA views whose
     /// deadline would pass before the next tick join the propagate batch
     /// (Combined scenario only) and are then refreshed
     /// earliest-deadline-first through [`Database::refresh_many`].
@@ -241,9 +244,7 @@ impl<'a> PolicyDriver<'a> {
             .entries
             .iter()
             .filter_map(|e| match e.policy {
-                RefreshPolicy::Policy1 { k, m }
-                    if t.is_multiple_of(k) && !t.is_multiple_of(m) =>
-                {
+                RefreshPolicy::Policy1 { k, m } if t.is_multiple_of(k) && !t.is_multiple_of(m) => {
                     Some(e.name.clone())
                 }
                 RefreshPolicy::Policy2 { k, .. } if t.is_multiple_of(k) => Some(e.name.clone()),
@@ -261,7 +262,11 @@ impl<'a> PolicyDriver<'a> {
         let trace = self.db.tracer();
         if trace.is_enabled() {
             for name in &due_propagates {
-                trace.event(EventKind::Policy, &format!("t{t}: propagate {name} due"), None);
+                trace.event(
+                    EventKind::Policy,
+                    &format!("t{t}: propagate {name} due"),
+                    None,
+                );
             }
         }
         self.db.propagate_many(&due_propagates)?;
@@ -582,7 +587,12 @@ mod tests {
         let bound = 2_000_000; // 2 ms
         let mut driver = PolicyDriver::new(&d);
         driver
-            .add_view("v", RefreshPolicy::Sla { staleness_bound: bound })
+            .add_view(
+                "v",
+                RefreshPolicy::Sla {
+                    staleness_bound: bound,
+                },
+            )
             .unwrap();
         let mut refreshes = 0;
         for i in 0..200i64 {

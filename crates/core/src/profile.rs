@@ -5,13 +5,12 @@
 //!
 //! While profiling is enabled (`Database::set_profiling(true)`), every
 //! `propagate` / `refresh` / `partial_refresh` claims the annotated
-//! operator trees ([`OpProf`]) and per-shard fan-out profiles
-//! ([`ShardProfile`]) its evaluations deposited, and stores them here
+//! operator trees ([`OpProf`]) its evaluations deposited, and stores them here
 //! together with the operation's observed wall time — so per-operator
 //! nanos can be checked against the latency the histograms report
 //! ([`MaintProfile::coverage`]).
 
-use dvm_obs::{fmt_nanos, json, HistogramSnapshot, OpProf, ShardProfile, TimeSeries};
+use dvm_obs::{fmt_nanos, json, HistogramSnapshot, OpProf, TimeSeries};
 use dvm_testkit::PoolStats;
 use std::fmt::Write as _;
 
@@ -27,17 +26,12 @@ pub struct MaintProfile {
     pub total_nanos: u64,
     /// One annotated tree per evaluation the operation ran, in order.
     pub evals: Vec<OpProf>,
-    /// One profile per parallel shard fan-out, in order.
-    pub shards: Vec<ShardProfile>,
 }
 
 impl MaintProfile {
     /// Nanos the profiler attributed: the inclusive root time of every
     /// recorded tree — operator pipelines and phase timers (delta
     /// derivation, compile/pin, the Lemma-3 fold, log truncation) alike.
-    /// Parallel shard fan-outs run *inside* the compose/apply phase
-    /// timers, so [`ShardProfile`]s are reported for imbalance diagnosis
-    /// but not counted again here.
     pub fn attributed_nanos(&self) -> u64 {
         self.evals.iter().map(|e| e.nanos).sum::<u64>()
     }
@@ -52,7 +46,7 @@ impl MaintProfile {
         self.attributed_nanos() as f64 / self.total_nanos as f64
     }
 
-    /// Render this operation's annotated trees and shard profiles.
+    /// Render this operation's annotated trees.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -68,16 +62,6 @@ impl MaintProfile {
             let _ = writeln!(out, "eval #{i}:");
             out.push_str(&e.render());
         }
-        for s in &self.shards {
-            let _ = writeln!(
-                out,
-                "shards {}: {} tuples, slowest {}, imbalance {:.2}",
-                s.label,
-                s.total_tuples(),
-                fmt_nanos(s.max_nanos() as f64),
-                s.imbalance()
-            );
-        }
         out
     }
 
@@ -90,10 +74,6 @@ impl MaintProfile {
             ("attributed_nanos", json::num_u(self.attributed_nanos())),
             ("coverage", json::num_f(self.coverage())),
             ("evals", json::array(self.evals.iter().map(OpProf::to_json))),
-            (
-                "shards",
-                json::array(self.shards.iter().map(ShardProfile::to_json)),
-            ),
         ])
     }
 }
@@ -247,23 +227,17 @@ mod tests {
                 nanos: 600,
                 children: vec![OpProf::leaf("Scan r", 10, 200)],
             }],
-            shards: vec![ShardProfile {
-                label: "compose_delta",
-                tuples: vec![5, 3],
-                nanos: vec![300, 100],
-            }],
         }
     }
 
     #[test]
-    fn coverage_counts_recorded_trees_but_not_shards_again() {
+    fn coverage_counts_recorded_trees() {
         let p = sample_op();
         assert_eq!(p.attributed_nanos(), 600);
         assert!((p.coverage() - 0.6).abs() < 1e-9);
         let idle = MaintProfile {
             total_nanos: 0,
             evals: vec![],
-            shards: vec![],
             ..p
         };
         assert_eq!(idle.coverage(), 1.0);

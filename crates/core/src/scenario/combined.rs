@@ -19,8 +19,7 @@ use crate::scenario::{
 };
 use crate::view::{Minimality, View};
 use dvm_delta::{compose_into, strongify_bags, Transaction};
-use dvm_storage::{compose_delta_parallel, Catalog};
-use dvm_testkit::WorkerPool;
+use dvm_storage::Catalog;
 use std::collections::HashMap;
 
 /// `makesafe_C[T]` — identical to `makesafe_BL[T]`: extend the log.
@@ -32,13 +31,7 @@ pub fn extend_log(catalog: &Catalog, view: &View, tx: &Transaction) -> Result<()
 /// `▲(L,Q)` in the current state, fold them into `∇MV/ΔMV` (composition
 /// lemma), and empty the log. Never takes the `MV` write lock — readers of
 /// the view are unaffected.
-///
-/// `par` is an optional worker pool for intra-view parallelism: when the
-/// differential tables are hash-sharded and large, the Lemma 3 fold runs
-/// per shard across `width` workers (including the caller). The fold is
-/// shard-local because `∸`/`⊎` match whole tuples and both sides route
-/// tuples with the same hash — see `compose_delta_parallel`.
-pub fn propagate(catalog: &Catalog, view: &View, par: Option<(&WorkerPool, usize)>) -> Result<()> {
+pub fn propagate(catalog: &Catalog, view: &View) -> Result<()> {
     let wrong_scenario = || CoreError::WrongScenario {
         view: view.name().to_string(),
         op: "propagate_C",
@@ -90,26 +83,12 @@ pub fn propagate(catalog: &Catalog, view: &View, par: Option<(&WorkerPool, usize
     // view demands it — all without the `MV` lock.
     let dt_del = catalog.require(dt_del_name)?;
     let dt_ins = catalog.require(dt_ins_name)?;
-    // The phase timer spans lock acquisition and, on the parallel path,
-    // the whole shard fan-out — the fan-out's ShardProfile sits inside
-    // this window, so attribution counts the phase, not the shards.
+    // The phase timer spans lock acquisition and the fold.
     let t = phase_start();
     {
         let mut del_guard = dt_del.write();
         let mut ins_guard = dt_ins.write();
-        match par {
-            Some((pool, width)) if width > 1 => {
-                compose_delta_parallel(
-                    &mut del_guard,
-                    &mut ins_guard,
-                    &del_bag,
-                    &ins_bag,
-                    pool,
-                    width,
-                );
-            }
-            _ => compose_into(&mut del_guard, &mut ins_guard, &del_bag, &ins_bag),
-        }
+        compose_into(&mut del_guard, &mut ins_guard, &del_bag, &ins_bag);
         if view.minimality() == Minimality::Strong {
             let (d, i) = strongify_bags(&del_guard, &ins_guard);
             **del_guard = d;
@@ -130,21 +109,14 @@ pub fn propagate(catalog: &Catalog, view: &View, par: Option<(&WorkerPool, usize
 
 /// `partial_refresh_C` — apply the differential tables (= `refresh_DT`):
 /// brings `MV` to `PAST(L,Q)`, i.e. at most one propagation interval stale.
-/// `par` enables per-shard parallelism for the delta apply under the `MV`
-/// write lock (shorter downtime on large views).
-pub fn partial_refresh(
-    catalog: &Catalog,
-    view: &View,
-    par: Option<(&WorkerPool, usize)>,
-) -> Result<()> {
-    diff_table::apply_diff_tables(catalog, view, par)
+pub fn partial_refresh(catalog: &Catalog, view: &View) -> Result<()> {
+    diff_table::apply_diff_tables(catalog, view)
 }
 
-/// `refresh_C`: full consistency — propagate, then apply (`par` reaches
-/// both halves).
-pub fn refresh(catalog: &Catalog, view: &View, par: Option<(&WorkerPool, usize)>) -> Result<()> {
-    propagate(catalog, view, par)?;
-    partial_refresh(catalog, view, par)
+/// `refresh_C`: full consistency — propagate, then apply.
+pub fn refresh(catalog: &Catalog, view: &View) -> Result<()> {
+    propagate(catalog, view)?;
+    partial_refresh(catalog, view)
 }
 
 #[cfg(test)]
@@ -195,15 +167,15 @@ mod tests {
         let (c, view) = setup(Minimality::Weak);
         // batch 1
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![2]));
-        propagate(&c, &view, None).unwrap();
+        propagate(&c, &view).unwrap();
         let value_at_s_i = recompute(&c, &view).unwrap(); // {1,2}
                                                           // batch 2, after propagation
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![3]));
         // partial refresh only applies what was propagated.
-        partial_refresh(&c, &view, None).unwrap();
+        partial_refresh(&c, &view).unwrap();
         assert_eq!(c.bag_of(view.mv_table()).unwrap(), value_at_s_i);
         // full refresh catches the rest.
-        refresh(&c, &view, None).unwrap();
+        refresh(&c, &view).unwrap();
         assert_eq!(
             c.bag_of(view.mv_table()).unwrap(),
             recompute(&c, &view).unwrap()
@@ -229,13 +201,13 @@ mod tests {
         check(&c);
         run_tx(&c, &view, &Transaction::new().delete_tuple("r", tuple![1]));
         check(&c);
-        propagate(&c, &view, None).unwrap();
+        propagate(&c, &view).unwrap();
         check(&c);
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![4]));
         check(&c);
-        partial_refresh(&c, &view, None).unwrap();
+        partial_refresh(&c, &view).unwrap();
         check(&c);
-        refresh(&c, &view, None).unwrap();
+        refresh(&c, &view).unwrap();
         check(&c);
         assert_eq!(
             c.bag_of(view.mv_table()).unwrap(),
@@ -249,7 +221,7 @@ mod tests {
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![2]));
         let mv = c.require(view.mv_table()).unwrap();
         let writes_before = mv.lock_metrics().snapshot().write_acquisitions;
-        propagate(&c, &view, None).unwrap();
+        propagate(&c, &view).unwrap();
         let writes_after = mv.lock_metrics().snapshot().write_acquisitions;
         assert_eq!(
             writes_before, writes_after,
@@ -261,14 +233,14 @@ mod tests {
     fn strong_minimality_shrinks_diff_tables() {
         let (c, view) = setup(Minimality::Strong);
         run_tx(&c, &view, &Transaction::new().delete_tuple("r", tuple![1]));
-        propagate(&c, &view, None).unwrap();
+        propagate(&c, &view).unwrap();
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![1]));
-        propagate(&c, &view, None).unwrap();
+        propagate(&c, &view).unwrap();
         let (dn, inm) = view.diff_tables().unwrap();
         assert!(c.bag_of(dn).unwrap().is_empty(), "churn cancelled");
         assert!(c.bag_of(inm).unwrap().is_empty());
         // and refresh still lands on the truth
-        refresh(&c, &view, None).unwrap();
+        refresh(&c, &view).unwrap();
         assert_eq!(
             c.bag_of(view.mv_table()).unwrap(),
             recompute(&c, &view).unwrap()
@@ -279,11 +251,11 @@ mod tests {
     fn repeated_propagate_is_idempotent_on_empty_log() {
         let (c, view) = setup(Minimality::Weak);
         run_tx(&c, &view, &Transaction::new().insert_tuple("r", tuple![2]));
-        propagate(&c, &view, None).unwrap();
+        propagate(&c, &view).unwrap();
         let (dn, inm) = view.diff_tables().unwrap();
         let d1 = c.bag_of(dn).unwrap();
         let i1 = c.bag_of(inm).unwrap();
-        propagate(&c, &view, None).unwrap();
+        propagate(&c, &view).unwrap();
         assert_eq!(c.bag_of(dn).unwrap(), d1);
         assert_eq!(c.bag_of(inm).unwrap(), i1);
         assert_eq!(i1, Bag::singleton(tuple![2]));

@@ -17,7 +17,6 @@ use crate::scenario::eval_pair;
 use crate::view::{Minimality, View};
 use dvm_delta::{compose_into, pre_update_deltas, strongify_bags, Transaction};
 use dvm_storage::Catalog;
-use dvm_testkit::WorkerPool;
 
 /// `makesafe_DT[T]`: evaluate `∇(T,Q)/Δ(T,Q)` pre-update and fold them into
 /// `∇MV/ΔMV`. Under [`Minimality::Strong`], delete/reinsert churn is
@@ -49,16 +48,7 @@ pub fn fold_transaction(catalog: &Catalog, view: &View, tx: &Transaction) -> Res
 /// `MV := (MV ∸ ∇MV) ⊎ ΔMV; ∇MV := φ; ΔMV := φ`, all under the `MV` write
 /// lock. No query evaluation happens here — this is the minimal-downtime
 /// path the paper aims for.
-///
-/// `par` is an optional worker pool: when `MV` and both differential
-/// tables are hash-sharded, the `(MV ∸ ∇MV) ⊎ ΔMV` apply runs per shard
-/// across `width` workers — shrinking the window the `MV` write lock is
-/// held, which is exactly the downtime `refresh_DT` minimizes.
-pub fn apply_diff_tables(
-    catalog: &Catalog,
-    view: &View,
-    par: Option<(&WorkerPool, usize)>,
-) -> Result<()> {
+pub fn apply_diff_tables(catalog: &Catalog, view: &View) -> Result<()> {
     let (dt_del_name, dt_ins_name) = view.diff_tables().ok_or(CoreError::WrongScenario {
         view: view.name().to_string(),
         op: "apply_diff_tables",
@@ -77,21 +67,12 @@ pub fn apply_diff_tables(
     }
     crate::scenario::phase_end("WarmMV", 0, t);
     // Phase timer spans the MV write lock — the downtime window itself.
-    // A parallel apply's ShardProfile sits inside this window, so
-    // attribution counts the phase, not the shards.
     let t = crate::scenario::phase_start();
     let mut mv_guard = mv.write();
     let mut del_guard = dt_del.write();
     let mut ins_guard = dt_ins.write();
     let rows = del_guard.len() + ins_guard.len();
-    match par {
-        Some((pool, width)) if width > 1 => {
-            mv_guard.apply_delta_parallel(&del_guard, &ins_guard, pool, width);
-        }
-        _ => {
-            mv_guard.apply_delta(&del_guard, &ins_guard);
-        }
-    }
+    mv_guard.apply_delta(&del_guard, &ins_guard);
     del_guard.clear();
     ins_guard.clear();
     crate::scenario::phase_end("ApplyDT(MV∸∇MV⊎ΔMV)", rows, t);
@@ -153,7 +134,7 @@ mod tests {
             .monus(&c.bag_of(dn).unwrap())
             .union(&c.bag_of(inm).unwrap());
         assert_eq!(lhs, rhs);
-        apply_diff_tables(&c, &view, None).unwrap();
+        apply_diff_tables(&c, &view).unwrap();
         assert_eq!(c.bag_of(view.mv_table()).unwrap(), lhs);
         assert!(c.require(dn).unwrap().is_empty());
         assert!(c.require(inm).unwrap().is_empty());
@@ -185,8 +166,8 @@ mod tests {
         assert!(c2.bag_of(in2).unwrap().is_empty());
 
         // both refresh to the same truth
-        apply_diff_tables(&c, &view, None).unwrap();
-        apply_diff_tables(&c2, &view2, None).unwrap();
+        apply_diff_tables(&c, &view).unwrap();
+        apply_diff_tables(&c2, &view2).unwrap();
         assert_eq!(
             c.bag_of(view.mv_table()).unwrap(),
             c2.bag_of(view2.mv_table()).unwrap()
@@ -234,7 +215,7 @@ mod tests {
         let compiled = dvm_algebra::infer::compile(&def, &c).unwrap();
         let view = View::new("v", def, compiled, Scenario::BaseLog, Minimality::Weak).unwrap();
         assert!(matches!(
-            apply_diff_tables(&c, &view, None),
+            apply_diff_tables(&c, &view),
             Err(CoreError::WrongScenario { .. })
         ));
     }

@@ -323,35 +323,25 @@ fn shared_log_vacuum_races_maintenance_and_writers() {
     assert_eq!(db.shared_log_stats().0, 0);
 }
 
-/// Shard-boundary stress: a Combined view big enough that its MV and
-/// differential tables promote to the hash-partitioned representation
-/// (`Bag::PROMOTE_DISTINCT` distinct rows and then some), hammered by 4
-/// workers mixing execute / propagate / partial_refresh. The per-shard
-/// parallel Lemma 3 folds and delta applies must land on the recomputed
-/// truth with every invariant intact — including tuples that race across
-/// propagation intervals on different shards.
+/// Big-view stress: a Combined view over 10 240 distinct rows, hammered by
+/// 4 workers mixing execute / propagate / partial_refresh. The Lemma 3
+/// folds and delta applies must land on the recomputed truth with every
+/// invariant intact — including tuples that race across propagation
+/// intervals.
 #[test]
-fn sharded_view_survives_concurrent_maintenance() {
+fn big_view_survives_concurrent_maintenance() {
     let db = Database::new();
     let schema = Universe::small(1).schema.clone();
     let table = db.create_table("big", schema).unwrap();
-    let rows = (Bag::PROMOTE_DISTINCT + 2048) as i64;
+    let rows = 10_240i64;
     let mut seed = Bag::new();
     for k in 0..rows {
         seed.insert_n(tuple![k, k % 7], 1 + (k % 3) as u64);
     }
-    assert!(
-        seed.is_sharded(),
-        "seed bag must cross the promote threshold"
-    );
     table.replace(seed).unwrap();
     db.create_view("v_big", simple_def("big"), Scenario::Combined)
         .unwrap();
     db.set_maintenance_threads(4);
-    assert!(
-        db.query_view("v_big").unwrap().is_sharded(),
-        "MV must come out hash-partitioned for this test to stress shards"
-    );
 
     let ((), _) = with_workers(
         4,
@@ -360,8 +350,8 @@ fn sharded_view_survives_concurrent_maintenance() {
             for round in 0..12 {
                 match (i + round) % 4 {
                     0 | 1 => {
-                        // Touch keys spread across the whole range so every
-                        // shard sees delete/insert traffic each round.
+                        // Touch keys spread across the whole range each
+                        // round.
                         let mut tx = Transaction::new();
                         for _ in 0..64 {
                             let k = rng.below(rows as u64) as i64;
@@ -385,7 +375,7 @@ fn sharded_view_survives_concurrent_maintenance() {
     assert_eq!(
         db.query_view("v_big").unwrap(),
         db.recompute_view("v_big").unwrap(),
-        "sharded view diverged from truth after concurrent maintenance"
+        "big view diverged from truth after concurrent maintenance"
     );
 }
 

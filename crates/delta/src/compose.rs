@@ -27,10 +27,6 @@ use dvm_storage::Bag;
 ///
 /// The order of the two assignments matters: the new `d1` needs the *old*
 /// `i1`, so we compute `d2 ∸ i1` before updating `i1`.
-///
-/// For large sharded bags, `dvm_storage::compose_delta_parallel` evaluates
-/// the same equations per hash shard across a worker pool; the two are
-/// property-tested equivalent below.
 pub fn compose_into(d1: &mut Bag, i1: &mut Bag, d2: &Bag, i2: &Bag) {
     let carried_deletes = d2.monus(i1);
     i1.monus_assign(d2);
@@ -137,32 +133,6 @@ mod tests {
                 o.monus(&db).union(&ib),
                 "compositions must agree on application"
             );
-        }
-    }
-
-    #[test]
-    fn parallel_shard_compose_matches_compose_into() {
-        // The storage layer's per-shard parallel compose must be
-        // indistinguishable from Lemma 3's sequential equations, at every
-        // size class (flat fallback, mixed, and fully sharded).
-        let pool = dvm_testkit::WorkerPool::new();
-        let u = Universe::small(1);
-        let mut rng = Rng::new(93);
-        for round in 0..40 {
-            let scale = if round % 2 == 0 { 6 } else { 2000 };
-            let mk = |rng: &mut Rng| {
-                let mut bag = Bag::new();
-                for _ in 0..scale {
-                    bag.union_assign(&u.bag(rng, 6));
-                }
-                bag
-            };
-            let (mut d1, mut i1) = (mk(&mut rng), mk(&mut rng));
-            let (d2, i2) = (mk(&mut rng), mk(&mut rng));
-            let (d_expected, i_expected) = compose(&d1, &i1, &d2, &i2);
-            dvm_storage::compose_delta_parallel(&mut d1, &mut i1, &d2, &i2, &pool, 4);
-            assert_eq!(d1, d_expected);
-            assert_eq!(i1, i_expected);
         }
     }
 

@@ -16,8 +16,8 @@
 //!   disabled path costs one relaxed atomic load;
 //! * [`profile`] — the maintenance profiler's primitives: a process-wide
 //!   profiling switch (one relaxed load when off), `EXPLAIN ANALYZE`-style
-//!   per-operator cost trees, per-shard work profiles, and the
-//!   thread-local capture channel between executor and driver;
+//!   per-operator cost trees, and the thread-local capture channel
+//!   between executor and driver;
 //! * [`tseries`] — fixed-capacity downsampling time series for
 //!   staleness-over-time and latency-over-time recording;
 //! * [`json`] — a dependency-free JSON writer *and* parser (the parser
@@ -38,7 +38,7 @@ pub mod trace;
 pub mod tseries;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use profile::{profiling_on, set_profiling, Captured, OpProf, ShardProfile};
+pub use profile::{profiling_on, set_profiling, Captured, OpProf};
 pub use table::{fmt_nanos, TableReport};
 pub use trace::{EventKind, Span, TraceEvent, Tracer};
 pub use tseries::{TimeSeries, TsPoint};

@@ -1,18 +1,17 @@
 //! Maintenance profiler primitives: the process-wide profiling switch,
-//! `EXPLAIN ANALYZE`-style per-operator cost trees, per-shard work
-//! profiles, and the thread-local capture channel the executor and the
-//! maintenance drivers communicate through.
+//! `EXPLAIN ANALYZE`-style per-operator cost trees, and the thread-local
+//! capture channel the executor and the maintenance drivers communicate
+//! through.
 //!
 //! The switch follows the tracer's contract: the **disabled** path costs
 //! one relaxed atomic load per potential capture site ([`profiling_on`]),
 //! so the ≤5% instrumentation budget `obs_guard` enforces is unaffected.
 //! When enabled, the streaming executor's probe wraps every fused pipeline
 //! stage and materializing breaker in rows-in/rows-out/nanos counters and
-//! deposits the finished [`OpProf`] tree here via [`record_eval`]; the
-//! parallel delta-apply/compose paths deposit per-shard [`ShardProfile`]s
-//! via [`record_shards`]. The maintenance driver (which runs the whole
-//! operation on one thread) drains both with [`take_captured`] and
-//! attaches them to the operation that caused them.
+//! deposits the finished [`OpProf`] tree here via [`record_eval`]. The
+//! maintenance driver (which runs the whole operation on one thread)
+//! drains them with [`take_captured`] and attaches them to the operation
+//! that caused them.
 
 use crate::json;
 use std::cell::RefCell;
@@ -134,71 +133,17 @@ impl OpProf {
     }
 }
 
-/// Per-shard work done by one parallel bag operation
-/// (`apply_delta_parallel` / `compose_delta_parallel`): tuples touched and
-/// wall nanos per shard, as measured inside each shard's closure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardProfile {
-    /// Which operation produced this (`"apply_delta"` / `"compose_delta"`).
-    pub label: &'static str,
-    /// Tuples (distinct entries visited) per shard.
-    pub tuples: Vec<u64>,
-    /// Wall nanos per shard.
-    pub nanos: Vec<u64>,
-}
-
-impl ShardProfile {
-    /// Imbalance ratio: `max(shard nanos) / mean(shard nanos)`. `1.0` is a
-    /// perfectly balanced fan-out; `k` means the slowest shard ran `k`
-    /// times longer than the average, bounding the parallel speedup to
-    /// `shards / k`. Empty or all-zero profiles report `1.0`.
-    pub fn imbalance(&self) -> f64 {
-        let n = self.nanos.len();
-        if n == 0 {
-            return 1.0;
-        }
-        let sum: u64 = self.nanos.iter().sum();
-        if sum == 0 {
-            return 1.0;
-        }
-        let max = *self.nanos.iter().max().expect("non-empty") as f64;
-        max / (sum as f64 / n as f64)
-    }
-
-    /// Total tuples across shards.
-    pub fn total_tuples(&self) -> u64 {
-        self.tuples.iter().sum()
-    }
-
-    /// Wall nanos of the slowest shard — the fan-out's critical path.
-    pub fn max_nanos(&self) -> u64 {
-        self.nanos.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Serialize as a JSON object.
-    pub fn to_json(&self) -> String {
-        json::object([
-            ("label", json::string(self.label)),
-            ("imbalance", json::num_f(self.imbalance())),
-            ("tuples", json::array(self.tuples.iter().map(|t| json::num_u(*t)))),
-            ("nanos", json::array(self.nanos.iter().map(|n| json::num_u(*n)))),
-        ])
-    }
-}
-
 /// Everything profiled on this thread since the last [`take_captured`].
 #[derive(Debug, Default, Clone)]
 pub struct Captured {
     /// One annotated tree per profiled evaluation, in execution order.
     pub evals: Vec<OpProf>,
-    /// One profile per parallel shard fan-out, in execution order.
-    pub shards: Vec<ShardProfile>,
 }
 
 impl Captured {
     /// Nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.evals.is_empty() && self.shards.is_empty()
+        self.evals.is_empty()
     }
 }
 
@@ -221,20 +166,6 @@ pub fn record_eval(prof: OpProf) {
             c.evals.remove(0);
         }
         c.evals.push(prof);
-    });
-}
-
-/// Deposit a per-shard fan-out profile (no-op when profiling is off).
-pub fn record_shards(prof: ShardProfile) {
-    if !profiling_on() {
-        return;
-    }
-    CAPTURED.with(|c| {
-        let mut c = c.borrow_mut();
-        if c.shards.len() >= MAX_CAPTURED {
-            c.shards.remove(0);
-        }
-        c.shards.push(prof);
     });
 }
 
@@ -283,34 +214,13 @@ mod tests {
     #[test]
     fn json_roundtrips_through_parser() {
         let doc = json::parse(&tree().to_json()).unwrap();
-        assert_eq!(doc.get("label").and_then(|v| v.as_str()), Some("Project #0"));
+        assert_eq!(
+            doc.get("label").and_then(|v| v.as_str()),
+            Some("Project #0")
+        );
         assert_eq!(doc.get("self_nanos").and_then(|v| v.as_f64()), Some(300.0));
         let kids = doc.get("children").and_then(|v| v.as_arr()).unwrap();
         assert_eq!(kids.len(), 1);
-    }
-
-    #[test]
-    fn imbalance_ratio() {
-        let p = ShardProfile {
-            label: "apply_delta",
-            tuples: vec![10, 10, 10, 10],
-            nanos: vec![100, 100, 100, 100],
-        };
-        assert!((p.imbalance() - 1.0).abs() < 1e-9);
-        let skew = ShardProfile {
-            label: "apply_delta",
-            tuples: vec![10, 0],
-            nanos: vec![300, 100],
-        };
-        assert!((skew.imbalance() - 1.5).abs() < 1e-9);
-        assert_eq!(skew.total_tuples(), 10);
-        assert_eq!(skew.max_nanos(), 300);
-        let empty = ShardProfile {
-            label: "compose_delta",
-            tuples: vec![],
-            nanos: vec![],
-        };
-        assert_eq!(empty.imbalance(), 1.0);
     }
 
     /// One test body: the flag is process-global, so flag-flipping
@@ -324,14 +234,8 @@ mod tests {
         // On: capture, drain, drained again is empty.
         set_profiling(true);
         record_eval(OpProf::leaf("x", 1, 1));
-        record_shards(ShardProfile {
-            label: "apply_delta",
-            tuples: vec![1],
-            nanos: vec![1],
-        });
         let got = take_captured();
         assert_eq!(got.evals.len(), 1);
-        assert_eq!(got.shards.len(), 1);
         assert!(take_captured().is_empty());
         // The buffer sheds its oldest entries past the cap.
         for i in 0..(MAX_CAPTURED + 10) {
@@ -339,7 +243,10 @@ mod tests {
         }
         let got = take_captured();
         assert_eq!(got.evals.len(), MAX_CAPTURED);
-        assert_eq!(got.evals.last().unwrap().label, format!("op{}", MAX_CAPTURED + 9));
+        assert_eq!(
+            got.evals.last().unwrap().label,
+            format!("op{}", MAX_CAPTURED + 9)
+        );
         set_profiling(false);
     }
 }

@@ -35,7 +35,7 @@ pub mod table;
 pub mod tuple;
 pub mod value;
 
-pub use bag::{compose_delta_parallel, Bag};
+pub use bag::Bag;
 pub use catalog::{Catalog, CommitMode};
 pub use error::{Result, StorageError};
 pub use hasher::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -21,9 +21,9 @@
 //!   (single-core hosts, nested submissions from inside a worker) and can
 //!   never deadlock waiting for a slot.
 //!
-//! Batches may be submitted from inside a running job (nested parallelism:
-//! a per-view job fanning out per-shard bag work); the inner submitter
-//! participates in its own batch, so nesting needs no reserved threads.
+//! Batches may be submitted from inside a running job (nested
+//! parallelism); the inner submitter participates in its own batch, so
+//! nesting needs no reserved threads.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -295,7 +295,8 @@ impl WorkerPool {
             return Vec::new();
         }
         if width <= 1 || jobs == 1 {
-            self.submitter_jobs.fetch_add(jobs as u64, Ordering::Relaxed);
+            self.submitter_jobs
+                .fetch_add(jobs as u64, Ordering::Relaxed);
             return (0..jobs).map(f).collect();
         }
 
@@ -437,7 +438,9 @@ mod tests {
     fn nested_submission_does_not_deadlock() {
         let pool = WorkerPool::new();
         let total: u64 = pool
-            .run(4, 4, |i| pool.run(4, 4, |j| (i * 4 + j) as u64).iter().sum::<u64>())
+            .run(4, 4, |i| {
+                pool.run(4, 4, |j| (i * 4 + j) as u64).iter().sum::<u64>()
+            })
             .iter()
             .sum();
         assert_eq!(total, (0..16).sum::<u64>());

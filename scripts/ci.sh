@@ -109,11 +109,8 @@ cargo test -q --offline -p dvm-bench --test json_schema
 # obs_guard also enforces the streaming executor's recorded speedups in
 # results/BENCH_eval.json (fused ≥2x on filter-project, ≥1.3x on propagate),
 # the group-commit speedup in results/BENCH_ingest.json (the CDC
-# pipeline ≥3x over per-op execute under Always fsync), and
-# the parallel-propagate series in results/BENCH_concurrent.json:
-# propagate_large/parallel_4w ≥1.2x over serial_loop on the 1.2M-row
-# sharded view when the artifact's host.parallelism stamp says the
-# recording host had ≥4 cores, else a ≥0.85x no-regression floor.
+# pipeline ≥3x over per-op execute under Always fsync), and the
+# compiled-delta-program speedup in results/BENCH_compile.json.
 echo "==> disabled-tracer overhead + executor speedup guard"
 cargo run --release --offline -q -p dvm-bench --bin obs_guard
 

@@ -422,7 +422,9 @@ impl Repl {
             "profile" => match arg {
                 Some("on") => {
                     self.db.set_profiling(true);
-                    ReplOutcome::Output("profile: on — maintenance ops now record operator trees".to_string())
+                    ReplOutcome::Output(
+                        "profile: on — maintenance ops now record operator trees".to_string(),
+                    )
                 }
                 Some("off") => {
                     self.db.set_profiling(false);
@@ -480,7 +482,8 @@ impl Repl {
                     s.spawn(move || {
                         let mut i = w;
                         while i < n {
-                            let _ = prod.submit(ChangeEvent::insert(table, Self::synth_tuple(schema, i)));
+                            let _ = prod
+                                .submit(ChangeEvent::insert(table, Self::synth_tuple(schema, i)));
                             i += STREAMS;
                         }
                     })
@@ -573,7 +576,7 @@ meta:  \\tables            list base tables
        \\trace on|off      journal maintenance spans and events
        \\trace show [n]    print the most recent n events (default 40)
        \\trace clear       discard the journal
-       \\profile on|off    profile maintenance: per-operator trees, shard/pool/cache attribution
+       \\profile on|off    profile maintenance: per-operator trees, pool/WAL attribution
        \\profile show      annotated plan trees + utilization + time series
        \\profile json      the same profiling report as JSON
        \\ingest <t> <n> [block|shed]  burst n CDC events through 4 streams, group-committed
@@ -826,7 +829,10 @@ mod tests {
         assert!(out.contains("ingested 20 of 20 event(s)"), "{out}");
         assert!(out.contains("group-committed"), "{out}");
         let gauges = feed(&mut repl, &["\\ingest"]);
-        assert!(gauges.contains("20 submitted, 20 ingested, 0 shed"), "{gauges}");
+        assert!(
+            gauges.contains("20 submitted, 20 ingested, 0 shed"),
+            "{gauges}"
+        );
         // The rows really landed and the view can catch up.
         let rows = feed(&mut repl, &["\\refresh v", "SELECT a FROM v"]);
         assert!(rows.contains("(20 row(s))"), "{rows}");
@@ -852,7 +858,10 @@ mod tests {
         assert!(out.contains("ran 20 tick(s) under sla"), "{out}");
         assert!(out.contains("refresh(es)"), "{out}");
         let rows = feed(&mut repl, &["SELECT a FROM v"]);
-        assert!(rows.contains("(2 row(s))"), "sla refreshed the view: {rows}");
+        assert!(
+            rows.contains("(2 row(s))"),
+            "sla refreshed the view: {rows}"
+        );
         // Immediate views cannot lag — the typed error names the scenario.
         feed(
             &mut repl,
