@@ -19,7 +19,7 @@ use dvm_core::{Database, Scenario};
 use dvm_delta::Transaction;
 use dvm_storage::{tuple, Bag, Catalog, Schema, Table, TableKind, Tuple, Value, ValueType};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn schema_kv() -> Schema {
@@ -325,7 +325,9 @@ fn reopened_database_probes_like_its_never_crashed_twin() {
 
 /// A writer moves rows between keys with typed deltas (and now and then a
 /// raw write) while a prober pins the table and compares, under that one
-/// pin, every key's index entry with the bag's rows for that key.
+/// pin, every key's index entry with the bag's rows for that key. The
+/// prober keeps going until the writer has written more than 10 times, so
+/// the two always overlap however the threads are scheduled.
 #[test]
 fn writer_and_prober_never_see_bag_and_index_apart() {
     let table = Arc::new(Table::new("base", schema_kv(), TableKind::External));
@@ -336,6 +338,7 @@ fn writer_and_prober_never_see_bag_and_index_apart() {
     }
     table.replace(start).unwrap();
     let stop = AtomicBool::new(false);
+    let written = AtomicU64::new(0);
     std::thread::scope(|s| {
         let writer = s.spawn(|| {
             let mut rng = Rng::new(0xA11);
@@ -357,10 +360,13 @@ fn writer_and_prober_never_see_bag_and_index_apart() {
                 } else {
                     table.apply_delta(&del, &ins).unwrap();
                 }
+                written.store(i, Ordering::Relaxed);
             }
             i
         });
-        for _ in 0..300 {
+        let mut probes = 0;
+        while probes < 300 || (written.load(Ordering::Relaxed) <= 10 && !writer.is_finished()) {
+            probes += 1;
             let pinned = table.pin();
             let mut expected: std::collections::HashMap<i64, Bag> = Default::default();
             for (t, m) in pinned.bag().iter() {
