@@ -771,8 +771,19 @@ fn stream<'s>(
             right_keys,
             residual,
         } => {
-            // A side that scans an indexed base table is probed by key, the
-            // other side streamed through it: no table is built.
+            // A residual-free join projected right away builds the
+            // projected tuple straight from its two inputs.
+            let (proj, ops) = match ops.split_first() {
+                Some((FusedOp::Project(cols), rest))
+                    if inline.is_none() && matches!(residual, PhysPredicate::Const(true)) =>
+                {
+                    (Some(*cols), rest)
+                }
+                _ => (None, ops),
+            };
+            // A side that scans an indexed base table, or is the past state
+            // `R ∸ L` of one, is probed by key, the other side streamed
+            // through it: no table is built.
             // Of two indexed sides, the smaller streams through the larger.
             let left_side = (&**left, *left_keys, &**right, *right_keys, true);
             let right_side = (&**right, *right_keys, &**left, *left_keys, false);
@@ -780,19 +791,25 @@ fn stream<'s>(
             if size_bound(left_plan, cx.src) > size_bound(right_plan, cx.src) {
                 sides.reverse();
             }
-            let indexed_side = sides.into_iter().find(|(fp, keys, ..)| {
-                matches!(fp.source, FusedSource::Scan(name) if cx.src.indexed(name, &below(fp, keys)))
-            });
+            let indexed_side = sides
+                .into_iter()
+                .find_map(|(fp, keys, other, other_keys, l)| {
+                    IndexSide::of(fp, keys, cx.src).map(|ix| (ix, other, other_keys, l))
+                });
             let joined: TupleStream<'s> = match indexed_side {
-                Some((ix_fp, ix_keys, other, other_keys, ix_left)) => {
-                    let FusedSource::Scan(name) = ix_fp.source else {
-                        unreachable!("matched a scan")
+                Some((ix, other, other_keys, ix_left)) => {
+                    join_label = match &ix.past {
+                        Some((.., less)) => format!("IndexJoin {} ∸ {less}", ix.table),
+                        None => format!("IndexJoin {}", ix.table),
                     };
-                    join_label = format!("IndexJoin {name}");
                     let other = stream(other, cx, None, on.then_some(&mut inputs))?;
-                    index_join(
-                        cx, name, ix_fp, ix_keys, ix_left, other, other_keys, residual,
-                    )?
+                    let (joined, lent) =
+                        index_join(cx, &ix, ix_left, other, other_keys, residual, proj)?;
+                    if on {
+                        let (label, now) = (format!("IndexProbe {}", ix.table), Instant::now());
+                        inputs.push(PNode::new(label, lent, now, Vec::new()));
+                    }
+                    joined
                 }
                 None => {
                     // Build the side that can only be smaller — the
@@ -812,19 +829,26 @@ fn stream<'s>(
                     join_label = format!("HashJoin (build={side})");
                     let table =
                         build_join_table(build_plan, build_keys, cx, on.then_some(&mut inputs))?;
-                    let push = KeyFilter {
-                        keys: Arc::clone(&table),
-                        cols: probe_keys.to_vec(),
-                    };
-                    Box::new(JoinProbe {
-                        probe: stream(probe_fp, cx, Some(&push), on.then_some(&mut inputs))?,
-                        build: table,
-                        probe_keys,
-                        residual,
-                        build_left,
-                        scratch: Vec::with_capacity(probe_keys.len()),
-                        out: VecDeque::new(),
-                    })
+                    // Nothing can join an empty build: the probe side is
+                    // never streamed.
+                    if table.is_empty() {
+                        Box::new(std::iter::empty())
+                    } else {
+                        let push = KeyFilter {
+                            keys: Arc::clone(&table),
+                            cols: probe_keys.to_vec(),
+                        };
+                        Box::new(JoinProbe {
+                            probe: stream(probe_fp, cx, Some(&push), on.then_some(&mut inputs))?,
+                            build: table,
+                            probe_keys,
+                            residual,
+                            proj,
+                            build_left,
+                            scratch: Vec::with_capacity(probe_keys.len()),
+                            out: VecDeque::new(),
+                        })
+                    }
                 }
             };
             apply_ops(key_filtered(joined, inline.clone()), ops)
@@ -890,22 +914,71 @@ fn below(fp: &FusedPlan<'_>, cols: &[usize]) -> Vec<usize> {
         })
 }
 
-/// An index join: every tuple of `other` (the join side that is not
-/// `ix_fp`, a pipeline over a scan of the indexed `table`) has its key
-/// looked up in `table`'s index, and each match, lent by the index, runs
-/// through `ix_fp`'s ops before it is joined. One lookup serves all of
-/// `other`.
-#[allow(clippy::too_many_arguments)]
-fn index_join<'s>(
-    cx: &'s Cx<'s>,
-    table: &str,
-    ix_fp: &'s FusedPlan<'s>,
-    ix_keys: &[usize],
+/// A join side an index join looks its matches up in: a pipeline over a
+/// scan of a table with an index on the join keys, or a pipeline over the
+/// past state `R ∸ L`, where `R` is such a σ/Π pipeline and `L` a σ-only
+/// pipeline over a scan.
+struct IndexSide<'p> {
+    /// The side's own pipeline.
+    side: &'p FusedPlan<'p>,
+    /// For a past state: `R`, `L` and the table `L` scans.
+    past: Option<(FusedPlan<'p>, FusedPlan<'p>, &'p str)>,
+    /// The indexed table and its key columns.
+    table: &'p str,
+    cols: Vec<usize>,
+}
+
+impl<'p> IndexSide<'p> {
+    /// `side` as an index side for the join keys `keys`, if it is one.
+    fn of(side: &'p FusedPlan<'p>, keys: &[usize], src: &dyn BagSource) -> Option<Self> {
+        let keys = below(side, keys);
+        let past = match side.source {
+            FusedSource::Scan(_) => None,
+            FusedSource::Breaker(Plan::Monus(r, l)) => {
+                let (r, l) = (fuse(r), fuse(l));
+                let sigma = l.ops.iter().all(|op| matches!(op, FusedOp::Filter(_)));
+                let less = scanned(&l).filter(|_| sigma)?;
+                Some((r, l, less))
+            }
+            _ => return None,
+        };
+        let (table, cols) = match &past {
+            Some((r, ..)) => (scanned(r)?, below(r, &keys)),
+            None => (scanned(side)?, keys),
+        };
+        src.indexed(table, &cols).then_some(IndexSide {
+            side,
+            past,
+            table,
+            cols,
+        })
+    }
+}
+
+/// The table a pipeline scans, if its source is a scan.
+fn scanned<'p>(fp: &FusedPlan<'p>) -> Option<&'p str> {
+    match fp.source {
+        FusedSource::Scan(name) => Some(name),
+        _ => None,
+    }
+}
+
+/// An index join: every tuple of `other` (the join side that is not `ix`)
+/// has its key looked up in `ix`'s index, and each match, lent by the
+/// index, runs through the op chain over the scan before it is joined. For
+/// a past state `R ∸ L` a match of `R` keeps what its multiplicity in `L`
+/// leaves — `(R ∸ L)(t) = R(t) ∸ L(t)`, and equal tuples have equal keys —
+/// and then runs through the side's own ops. One lookup serves all of
+/// `other`. Returns the joined pairs and how many rows the index lent.
+fn index_join(
+    cx: &Cx<'_>,
+    ix: &IndexSide<'_>,
     ix_left: bool,
-    other: TupleStream<'s>,
+    other: TupleStream<'_>,
     other_keys: &[usize],
     residual: &PhysPredicate,
-) -> Result<TupleStream<'s>> {
+    proj: Option<&[usize]>,
+) -> Result<(TupleStream<'static>, u64)> {
     let (mut probes, mut keys, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
     for item in other {
         let (t, m) = item?;
@@ -914,30 +987,86 @@ fn index_join<'s>(
             probes.push((t, m));
         }
     }
-    let width = other_keys.len().max(1);
-    let mut out = Vec::new();
-    let cols = below(ix_fp, ix_keys);
-    cx.src
-        .lookup(table, &cols, &mut keys.chunks(width), &mut |i, it, im| {
-            let (pt, pm) = &probes[i];
-            let Some((it, im)) = apply_ops_ref(it, im, &ix_fp.ops) else {
-                return;
-            };
-            let (joined, lm, rm) = match ix_left {
-                true => (it.concat(pt), im, *pm),
-                false => (pt.concat(&it), *pm, im),
-            };
-            if residual.eval(&joined) {
-                out.push(match lm.checked_mul(rm) {
-                    Some(m) => Ok((joined, m)),
-                    None => Err(crate::AlgebraError::MultiplicityOverflow {
-                        left: lm,
-                        right: rm,
-                    }),
-                });
-            }
+    let (mut found, mut lent) = (Vec::new(), 0);
+    let ops = ix.past.as_ref().map_or(&ix.side.ops, |(r, ..)| &r.ops);
+    if !probes.is_empty() {
+        let width = other_keys.len().max(1);
+        let keys = &mut keys.chunks(width);
+        cx.src.lookup(ix.table, &ix.cols, keys, &mut |i, t, m| {
+            lent += 1;
+            found.extend(apply_ops_ref(t, m, ops).map(|(t, m)| (i, t, m)));
         });
-    Ok(Box::new(out.into_iter()))
+    }
+    if let Some((r, l, less)) = &ix.past {
+        if r.ops.iter().any(|op| matches!(op, FusedOp::Project(_))) {
+            // Rows of one key may project to one tuple: `R(t)` is their sum.
+            found.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+            found.dedup_by(|next, kept| {
+                let same = (next.0, &next.1) == (kept.0, &kept.1);
+                if same {
+                    kept.2 += next.2;
+                }
+                same
+            });
+        }
+        let less = cx.src.bag(less)?;
+        let passes = |t: &Tuple| {
+            l.ops
+                .iter()
+                .all(|op| matches!(op, FusedOp::Filter(p) if p.eval(t)))
+        };
+        let in_l = |t: &Tuple| if passes(t) { less.multiplicity(t) } else { 0 };
+        found = (found.into_iter())
+            .filter_map(|(i, t, m)| {
+                let m = m.saturating_sub(in_l(&t));
+                let (t, m) = (m > 0).then(|| apply_ops_owned(t, m, &ix.side.ops))??;
+                Some((i, t, m))
+            })
+            .collect();
+    }
+    let mut out = Vec::with_capacity(found.len());
+    for (i, it, im) in found {
+        let (pt, pm) = &probes[i];
+        out.extend(match ix_left {
+            true => join_pair(&it, im, pt, *pm, residual, proj),
+            false => join_pair(pt, *pm, &it, im, residual, proj),
+        });
+    }
+    Ok((Box::new(out.into_iter()), lent))
+}
+
+/// The join of `l` and `r` — `l ++ r` if it passes `residual`, or, with
+/// `proj` (for a residual-free join), that projection of it built straight
+/// from the two — with the product of their multiplicities, checked.
+fn join_pair(
+    l: &Tuple,
+    lm: u64,
+    r: &Tuple,
+    rm: u64,
+    residual: &PhysPredicate,
+    proj: Option<&[usize]>,
+) -> Option<Result<(Tuple, u64)>> {
+    let joined = match proj {
+        Some(cols) => {
+            let n = l.arity();
+            let pick = |c: usize| {
+                if c < n {
+                    l[c].clone()
+                } else {
+                    r[c - n].clone()
+                }
+            };
+            cols.iter().map(|&c| pick(c)).collect()
+        }
+        None => Some(l.concat(r)).filter(|t| residual.eval(t))?,
+    };
+    Some(match lm.checked_mul(rm) {
+        Some(m) => Ok((joined, m)),
+        None => Err(crate::AlgebraError::MultiplicityOverflow {
+            left: lm,
+            right: rm,
+        }),
+    })
 }
 
 /// Apply a fused op chain to a *borrowed* tuple. Leading filters run on the
@@ -1046,8 +1175,8 @@ fn build_join_table<'a>(
 
 /// Streaming probe side of a hash join: pulls probe tuples, normalizes
 /// their keys into a reusable scratch buffer, looks the keys up by
-/// borrowed slice, and yields residual-filtered concatenations with
-/// checked multiplicity products.
+/// borrowed slice, and yields residual-filtered concatenations (or their
+/// projections, [`join_pair`]) with checked multiplicity products.
 ///
 /// The output tuple is always `left ++ right` regardless of which side was
 /// built: when the build side is the *left* subtree, each match is emitted
@@ -1057,6 +1186,7 @@ struct JoinProbe<'s> {
     build: Arc<JoinBuild>,
     probe_keys: &'s [usize],
     residual: &'s PhysPredicate,
+    proj: Option<&'s [usize]>,
     /// The build table holds the plan's left side (flipped join).
     build_left: bool,
     scratch: Vec<Value>,
@@ -1083,28 +1213,12 @@ impl Iterator for JoinProbe<'_> {
             let Some(matches) = self.build.get(self.scratch.as_slice()) else {
                 continue;
             };
-            for (bt, bm) in matches {
-                let joined = if self.build_left {
-                    bt.concat(&pt)
-                } else {
-                    pt.concat(bt)
-                };
-                if self.residual.eval(&joined) {
-                    // Error fields stay in plan order (left × right).
-                    let (lm, rm) = if self.build_left {
-                        (*bm, pm)
-                    } else {
-                        (pm, *bm)
-                    };
-                    self.out.push_back(match pm.checked_mul(*bm) {
-                        Some(m) => Ok((joined, m)),
-                        None => Err(crate::AlgebraError::MultiplicityOverflow {
-                            left: lm,
-                            right: rm,
-                        }),
-                    });
-                }
-            }
+            let (residual, proj) = (self.residual, self.proj);
+            self.out
+                .extend(matches.iter().filter_map(|(bt, bm)| match self.build_left {
+                    true => join_pair(bt, *bm, &pt, pm, residual, proj),
+                    false => join_pair(&pt, pm, bt, *bm, residual, proj),
+                }));
         }
     }
 }

@@ -307,7 +307,7 @@ fn shift_pred(pred: PhysPredicate, lar: usize) -> PhysPredicate {
 
 /// One pipelined per-tuple operator, applied in order to each streamed
 /// `(tuple, multiplicity)` pair without materializing an intermediate bag.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub enum FusedOp<'a> {
     /// Drop tuples failing the predicate.
     Filter(&'a PhysPredicate),
@@ -368,11 +368,18 @@ pub struct FusedPlan<'a> {
 /// `Filter`/`Project` chains collapse into per-tuple op chains over the
 /// nearest source below them (`Scan`, `Literal`, `⊎`, `HashJoin`) — so the
 /// selective change-query shape `Π(σ(scan/join))` runs without a single
-/// intermediate bag. Everything else is a pipeline breaker and stays
-/// materialized, which keeps the breakers' exact multiplicity semantics
-/// (e.g. `×`'s saturating arithmetic) byte-identical to the reference
-/// evaluator.
+/// intermediate bag. The chain over a `⊎` runs in both of its inputs
+/// instead — σ and Π treat each tuple alone — so a change query's
+/// projection over its union of join terms reaches each join. Everything
+/// else is a pipeline breaker and stays materialized, which keeps the
+/// breakers' exact multiplicity semantics (e.g. `×`'s saturating
+/// arithmetic) byte-identical to the reference evaluator.
 pub fn fuse(plan: &Plan) -> FusedPlan<'_> {
+    fuse_under(plan, Vec::new())
+}
+
+/// [`fuse`] `plan` as the input of the op chain `outer`.
+fn fuse_under<'a>(plan: &'a Plan, outer: Vec<FusedOp<'a>>) -> FusedPlan<'a> {
     let mut ops = Vec::new();
     let mut cur = plan;
     loop {
@@ -390,10 +397,18 @@ pub fn fuse(plan: &Plan) -> FusedPlan<'_> {
     }
     // Collected outermost-first; streams apply innermost-first.
     ops.reverse();
+    ops.extend(outer);
     let source = match cur {
         Plan::Scan(name) => FusedSource::Scan(name),
         Plan::Literal(bag) => FusedSource::Literal(bag),
-        Plan::Union(a, b) => FusedSource::Union(Box::new(fuse(a)), Box::new(fuse(b))),
+        Plan::Union(a, b) => {
+            let (a, b) = (fuse_under(a, ops.clone()), fuse_under(b, ops));
+            let source = FusedSource::Union(Box::new(a), Box::new(b));
+            return FusedPlan {
+                source,
+                ops: Vec::new(),
+            };
+        }
         Plan::HashJoin {
             left,
             right,

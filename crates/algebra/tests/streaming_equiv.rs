@@ -205,6 +205,7 @@ fn pair_evaluation_matches_independent_reference_evaluation() {
                 eval_reference(&ins, &state).expect("reference ▲"),
             );
 
+            let _serial = PROFILING.lock().unwrap_or_else(|p| p.into_inner());
             let plain = eval_pair(&del, &ins, &shared, &state).expect("pair eval");
             assert_eq!(plain, want, "pair diverged on\n▼ {del:?}\n▲ {ins:?}");
 
@@ -245,4 +246,134 @@ fn pair_evaluation_matches_independent_reference_evaluation() {
         "shared subplans were reused in only {reused} cases"
     );
     assert!(pushed > 100, "key sets were pushed in only {pushed} cases");
+}
+
+/// Serializes the tests that switch the process-wide profiling flag, so
+/// that each one's unprobed and probed runs are what they say.
+static PROFILING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The past state of an indexed table, as Figure 2's join rules read it:
+/// `X ⋈ σ(R ∸ σ(L))` with an index on `R`'s join key, so `X` streams
+/// through `R`'s index and each match keeps `R(t) ∸ L(t)`. Over random
+/// mixed-type states — NULL keys, `Int`/`Double` keys, multiplicities up to
+/// 3 in `R` and in `L`, an `L` that is no subbag of `R` but often shares
+/// its tuples at lower, equal and higher multiplicities — with filters on
+/// both `∸` inputs, a `Π` that maps rows of one key to one tuple in a third
+/// of the cases, a residual or a projected join output, and empty sides.
+/// With the index and without it (a hash join, which skips its probe side
+/// after an empty build), probe off and probe on, every answer is the
+/// reference evaluator's; the probe trees count the cases that took the
+/// index join through the past state.
+#[test]
+fn index_join_through_a_past_state_matches_reference() {
+    use dvm_algebra::eval::ParamSource;
+    use dvm_algebra::predicate::{col, lit, Predicate};
+    use dvm_algebra::{probed_scans, Expr};
+    use dvm_storage::{Catalog, Schema, TableKind, ValueType};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let u = Universe::mixed(3);
+    let mut provider = u.provider();
+    provider.insert("n".into(), Schema::from_pairs(&[("a", ValueType::Int)]));
+    let (past, narrow_past) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    Prop::new("index_join_through_a_past_state_matches_reference")
+        .cases(400)
+        .run(|rng| {
+            let mut state = u.state(rng, 5);
+            if rng.chance(1, 2) {
+                let r = state["t1"].clone();
+                let l = state.get_mut("t2").expect("t2");
+                for (t, _) in r.iter() {
+                    if rng.chance(2, 3) {
+                        l.insert_n(t.clone(), 1 + rng.below(3));
+                    }
+                }
+            }
+            state.insert("n".into(), state["t2"].project(&[0]));
+            // `R = Π_a(σ(t1))` against `L = σ(n)` (narrow), or
+            // `R = σ(t1)` against `L = σ(t2)`.
+            let narrow = rng.chance(1, 3);
+            let a_below = |rng: &mut dvm_algebra::testgen::Rng| {
+                Predicate::lt(col("a"), lit(rng.range(1, u.domain + 1)))
+            };
+            let (mut r, mut l) = match narrow {
+                true => (Expr::table("t1"), Expr::table("n")),
+                false => (Expr::table("t1"), Expr::table("t2")),
+            };
+            if rng.chance(2, 3) {
+                r = r.select(u.predicate(rng, &[]));
+            }
+            if narrow {
+                r = r.project(["a"]);
+            }
+            if rng.chance(2, 3) {
+                l = l.select(if narrow {
+                    a_below(rng)
+                } else {
+                    u.predicate(rng, &[])
+                });
+            }
+            let mut survivor = r.monus(l);
+            if rng.chance(1, 3) {
+                survivor = survivor.select(a_below(rng));
+            }
+            let key = if narrow || rng.chance(1, 2) { "a" } else { "b" };
+            let x_key = if rng.chance(1, 2) { "x.a" } else { "x.b" };
+            let mut on = Predicate::eq(col(x_key), col(&format!("p.{key}")));
+            if rng.chance(1, 3) {
+                on = on.and(Predicate::ne(col("x.b"), col("p.a")));
+            }
+            let x = u.expr(rng, 1).alias("x");
+            let p = survivor.alias("p");
+            let (l, r) = if rng.chance(1, 2) { (x, p) } else { (p, x) };
+            let mut e = l.product(r).select(on);
+            if rng.chance(1, 2) {
+                e = e.project(["p.a", "x.b"]);
+            }
+            let plan = compile(&e, &provider).expect("typecheck").plan;
+            let want = eval_reference(&plan, &state).expect("reference eval");
+
+            for indexed in [true, false] {
+                let catalog = Catalog::new();
+                for (name, bag) in &state {
+                    let schema = provider[name].clone();
+                    let table = catalog
+                        .create_table(name.clone(), schema, TableKind::External)
+                        .expect("create");
+                    // Raw: the generator's NULLs and doubles skip validation.
+                    **table.write() = bag.clone();
+                }
+                if indexed {
+                    for (name, cols) in probed_scans(&plan) {
+                        catalog.require(&name).expect("table").register_index(&cols);
+                    }
+                }
+                let src = ParamSource::pin(&catalog, &plan.tables(), [("t0", &state["t0"])])
+                    .expect("pin");
+                let _serial = PROFILING.lock().unwrap_or_else(|p| p.into_inner());
+                let plain = eval(&plan, &src).expect("unprobed eval");
+                dvm_obs::set_profiling(true);
+                let _ = dvm_obs::profile::take_captured();
+                let probed = eval(&plan, &src);
+                let trees = dvm_obs::profile::take_captured().evals;
+                dvm_obs::set_profiling(false);
+                assert_eq!(plain, want, "unprobed (indexed: {indexed}) on {e}");
+                assert_eq!(probed.expect("probed eval"), want, "probed on {e}");
+                let mut nodes = trees.iter().flat_map(|t| t.nodes());
+                if nodes.any(|n| n.label.starts_with("IndexJoin t1 ∸ ")) {
+                    assert!(indexed, "no index, no index join: {e}");
+                    past.fetch_add(1, Ordering::Relaxed);
+                    if narrow {
+                        narrow_past.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        });
+    let (past, narrow_past) = (past.into_inner(), narrow_past.into_inner());
+    eprintln!("{past} of 400 cases joined through R ∸ L ({narrow_past} with a narrowing Π)");
+    assert!(
+        past > 100,
+        "only {past} cases took the index join through R ∸ L"
+    );
+    assert!(narrow_past > 20, "only {narrow_past} narrowing cases did");
 }

@@ -146,8 +146,10 @@ fn steady_state_propagate_does_zero_symbolic_work() {
 /// 16 000 ([`bulk_cycle`]): `v_agg` is counted, so neither its
 /// `propagate_C` nor its twin's `refresh_BL` aggregates or scans `sales`
 /// or the view's own tables, and the work folded is the change — the same
-/// rows, groups and scans at both sizes. `v` builds its joins on the log
-/// sides (at most twice the logged rows, never a survivor of `sales`).
+/// rows, groups and scans at both sizes. `v` streams each delta through
+/// the other table's index, past states `R ∸ ▲R` included: it scans
+/// neither base table, builds no delta of `sales`, and what it builds
+/// holds at most twice the logged rows.
 /// Then, with only the `sales` logs non-empty, one
 /// `read_through_where(custId = k)` on `v` and on `v_agg` runs the stored
 /// variant for that mask: neither scans `sales` (its `TableStats::scans`
@@ -301,12 +303,34 @@ fn bulk_cycle(sales_rows: i64) -> Vec<(Vec<String>, (u64, u64))> {
         let scans = scans.iter().map(|s| s.replace(view, "V")).collect();
         seen.push((scans, (fold[0].rows_in, fold[0].rows_out)));
     }
+    // `v` reaches `customer` and `sales` only through their indexes: each
+    // survivor `R ∸ ▲R` is probed by the other side's delta, and no delta
+    // of `sales` is built to push its key set.
     let join = trees("v");
-    let (builds, built_rows) = count(&join, "JoinBuild");
-    assert!(
-        builds > 0 && count(&join, "IndexProbe sales").0 > 0,
-        "joins built by size, their key sets looked up in sales"
+    let nodes: Vec<&dvm_obs::OpProf> = join.iter().flat_map(|t| t.nodes()).collect();
+    let labels: Vec<&str> = nodes.iter().map(|n| n.label.as_str()).collect();
+    let index_joins = |table: &str| {
+        let prefix = format!("IndexJoin {table} ∸ ");
+        labels.iter().filter(|l| l.starts_with(&prefix)).count()
+    };
+    assert_eq!(
+        (index_joins("customer"), index_joins("sales")),
+        (2, 2),
+        "one index join per survivor in ▼ and in ▲: {labels:?}"
     );
+    for base in ["Scan sales", "Scan customer"] {
+        assert!(!labels.contains(&base), "v: {base}: {labels:?}");
+    }
+    for build in nodes.iter().filter(|n| n.label.starts_with("JoinBuild")) {
+        let below: Vec<&str> = build.nodes().iter().map(|n| n.label.as_str()).collect();
+        assert!(
+            !below
+                .iter()
+                .any(|l| l.starts_with("Scan __v_log_") && l.ends_with("_sales")),
+            "v built a delta of sales: {below:?}"
+        );
+    }
+    let built_rows = count(&join, "JoinBuild").1;
     assert!(
         built_rows <= 2 * logged,
         "join builds hold {built_rows} rows for {logged} logged: a survivor was built"
@@ -448,6 +472,12 @@ fn sales_rows_read_by_v(sales_rows: i64) -> u64 {
     );
     db.partial_refresh("v").unwrap();
     assert_eq!(db.query_view("v").unwrap(), db.recompute_view("v").unwrap());
+    assert!(
+        nodes.iter().any(|n| n.label.starts_with("IndexJoin sales")),
+        "v streams its customer deltas through sales' index"
+    );
+    // The rows `sales`' index lent: a pushed key set's lookup and an index
+    // join's lookup both report them as an `IndexProbe sales` node.
     nodes
         .iter()
         .filter(|n| n.label == "IndexProbe sales")

@@ -13,11 +13,12 @@
 //! ### Concurrency
 //!
 //! [`Histogram::record`] is wait-free apart from the [`atomic_max`] CAS
-//! loop: relaxed `fetch_add`s into the bucket, count, and sum cells. A
-//! concurrent [`Histogram::snapshot`] may observe a recording mid-flight
-//! (bucket incremented, sum not yet), so a snapshot can be skewed by at
-//! most one in-flight sample per recording thread — never torn into
-//! nonsense like a permanently lost total.
+//! loop: `fetch_add`s into a `started` cell, the bucket, the sum and
+//! finally the count. A snapshot reads `count`, `sum` and `started` and
+//! retries until `started == count`: then no sample was in flight between
+//! the reads, so `count` and `sum` cover exactly the same samples (a
+//! consistent cut). The buckets are read after the cut and may be skewed
+//! by at most one in-flight sample per recording thread.
 //!
 //! ### Reset
 //!
@@ -25,9 +26,10 @@
 //! `store(0)`s can interleave with a concurrent `record`, permanently
 //! desynchronizing count/sum pairs — the `ViewMetrics::reset` bug this
 //! crate replaces). Instead it snapshots the monotone counters as a
-//! *baseline* and [`Histogram::snapshot`] subtracts it, so resets are
-//! linearizable against recordings up to the same ≤ one in-flight sample
-//! per thread tolerance. The `max` cell is the one exception: it is a
+//! *baseline* and [`Histogram::snapshot`] subtracts it. The baseline's
+//! `count` and `sum` are a consistent cut, so once recording stops a
+//! snapshot's `sum` is exactly the sum of the samples it counts, however
+//! resets and recordings raced. The `max` cell is the one exception: it is a
 //! single self-contained word, so reset stores 0 and a racing recording's
 //! maximum may be attributed to the pre-reset phase.
 
@@ -70,6 +72,8 @@ fn bucket_high(i: usize) -> u64 {
 /// bucket scheme and reset semantics.
 pub struct Histogram {
     buckets: Box<[AtomicU64; NUM_BUCKETS]>,
+    /// Samples begun; `count` is samples finished.
+    started: AtomicU64,
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
@@ -99,6 +103,7 @@ impl Histogram {
     pub fn new() -> Self {
         Histogram {
             buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
+            started: AtomicU64::new(0),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
@@ -108,17 +113,33 @@ impl Histogram {
 
     /// Record one sample. Lock-free; safe from any thread.
     pub fn record(&self, value: u64) {
+        self.started.fetch_add(1, Ordering::Relaxed);
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        // Release: whoever sees this sum sees `started` count the sample,
+        // and whoever sees the count sees the sum include it.
+        self.sum.fetch_add(value, Ordering::Release);
+        self.count.fetch_add(1, Ordering::Release);
         atomic_max(&self.max, value);
     }
 
     fn raw_snapshot(&self) -> HistogramSnapshot {
+        // `count` ⊆ samples in `sum` ⊆ `started`: equal ends mean equal sets.
+        let (count, sum) = loop {
+            let count = self.count.load(Ordering::Acquire);
+            let sum = self.sum.load(Ordering::Acquire);
+            if self.started.load(Ordering::Relaxed) == count {
+                break (count, sum);
+            }
+            std::thread::yield_now();
+        };
         HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            count,
+            sum,
             max: self.max.load(Ordering::Relaxed),
         }
     }
@@ -126,7 +147,12 @@ impl Histogram {
     /// Copy the current distribution (since the last [`Histogram::reset`]).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let raw = self.raw_snapshot();
-        match self.baseline.lock().unwrap_or_else(|p| p.into_inner()).as_ref() {
+        match self
+            .baseline
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .as_ref()
+        {
             Some(base) => raw.saturating_sub(base),
             None => raw,
         }
@@ -393,7 +419,9 @@ mod tests {
         let h = Histogram::new();
         h.record(42);
         let j = h.snapshot().to_json();
-        for key in ["count", "sum_ns", "mean_ns", "p50_ns", "p95_ns", "p99_ns", "max_ns"] {
+        for key in [
+            "count", "sum_ns", "mean_ns", "p50_ns", "p95_ns", "p99_ns", "max_ns",
+        ] {
             assert!(j.contains(&format!("\"{key}\"")), "{j}");
         }
     }

@@ -175,8 +175,16 @@ impl Bag {
         out
     }
 
-    /// In-place additive union.
+    /// In-place additive union. Into an empty bag this copies `other`'s
+    /// table, which re-hashes nothing; otherwise room for `other` is
+    /// reserved first, so the table grows at most once.
     pub fn union_assign(&mut self, other: &Bag) {
+        if self.is_empty() {
+            self.map.clone_from(&other.map);
+            self.len = other.len;
+            return;
+        }
+        self.map.reserve(other.distinct_len());
         for (t, m) in other.iter() {
             self.insert_n(t.clone(), m);
         }
@@ -203,6 +211,9 @@ impl Bag {
 
     /// In-place monus.
     pub fn monus_assign(&mut self, other: &Bag) {
+        if self.is_empty() || other.is_empty() {
+            return;
+        }
         for (t, m) in other.iter() {
             self.remove_n(t, m);
         }
@@ -475,6 +486,46 @@ mod tests {
         let u = x.union(&y);
         assert_eq!(u, b(&[(1, 3), (2, 1), (3, 4)]));
         assert_eq!(u.len(), 8);
+    }
+
+    #[test]
+    fn union_assign_into_empty_smaller_and_larger_bags() {
+        let other = b(&[(1, 2), (2, 1), (3, 4)]);
+        // Empty: the table is copied, multiplicities and cached len with it.
+        for mut into in [Bag::new(), Bag::with_capacity(64), b(&[(9, 1)])] {
+            into.remove_n(&tuple![9], 1);
+            into.union_assign(&other);
+            assert_eq!(into, other);
+            assert_eq!(into.len(), 7);
+            assert_eq!(into.len(), into.iter().map(|(_, m)| m).sum::<u64>());
+        }
+        let mut smaller = b(&[(1, 1)]);
+        smaller.union_assign(&other);
+        assert_eq!(smaller, b(&[(1, 3), (2, 1), (3, 4)]));
+        assert_eq!(smaller.len(), 8);
+        let mut larger = b(&[(1, 1), (4, 1), (5, 2), (6, 1), (7, 1)]);
+        larger.union_assign(&b(&[(1, 1), (8, 3)]));
+        assert_eq!(larger, b(&[(1, 2), (4, 1), (5, 2), (6, 1), (7, 1), (8, 3)]));
+        assert_eq!(larger.len(), 10);
+        // The copy is independent of its source.
+        let mut copy = Bag::new();
+        copy.union_assign(&other);
+        copy.remove_n(&tuple![3], 4);
+        assert_eq!(other.multiplicity(&tuple![3]), 4);
+        assert_eq!((copy.len(), other.len()), (3, 7));
+    }
+
+    #[test]
+    fn monus_assign_with_either_side_empty() {
+        let x = b(&[(1, 2), (2, 1)]);
+        let mut from_empty = Bag::new();
+        from_empty.monus_assign(&x);
+        assert!(from_empty.is_empty());
+        assert_eq!(from_empty.distinct_len(), 0);
+        let mut minus_empty = x.clone();
+        minus_empty.monus_assign(&Bag::new());
+        assert_eq!(minus_empty, x);
+        assert_eq!(minus_empty.len(), 3);
     }
 
     #[test]

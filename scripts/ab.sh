@@ -11,13 +11,19 @@
 #               than the bound and some parent run reads better than some
 #               change run: the pairs cannot tell "unchanged" from "worse".
 #
-#   scripts/ab.sh <parent> [--pairs N] [--workload W]... [--claim M@W]...
+#   scripts/ab.sh <parent> [--pairs N] [--workload W]... [--claim M@W]... [--layers]
 #
 # `--claim metric@workload` states a gain: it holds only if the change
 # wins at least 9/10 of the pairs on that cell (a tie is not a win) and the
 # medians differ, in the better direction, by more than the distance
 # between the parent's quartiles. Default: 3 pairs x the 4 workloads
 # (~15 min); a claim wants `--pairs 10 --workload <the claimed one>`.
+#
+# `--layers` then runs one traced pair (`--trace 1`) per workload, parent
+# and change in alternating order, and prints each side's median of a few
+# per-layer metrics next to each other - makesafe/log append, Lemma-3
+# compose, propagate, refresh and the MV write-lock hold - so a change can
+# show which layer moved. That table is not judged and never fails the run.
 #
 # <parent> is a git ref, checked out into a temporary `git worktree`, or a
 # directory that already holds the parent's tree (a `git clone` at the
@@ -33,17 +39,19 @@
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage() { echo "usage: $0 <parent-ref|parent-dir> [--pairs N] [--workload W]... [--claim metric@workload]..." >&2; exit 2; }
+usage() { echo "usage: $0 <parent-ref|parent-dir> [--pairs N] [--workload W]... [--claim metric@workload]... [--layers]" >&2; exit 2; }
 [ $# -ge 1 ] || usage
 ref="$1"; shift
 pairs=3
 workloads=()
 claims=()
+layers=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="$2"; shift 2 ;;
         --workload) workloads+=("$2"); shift 2 ;;
         --claim) claims+=("$2"); shift 2 ;;
+        --layers) layers=1; shift ;;
         *) usage ;;
     esac
 done
@@ -75,10 +83,10 @@ done
 
 samples="$tmp/samples"   # lines: workload metric side value
 failed=0
-run_side() {             # side workload seed
+run_side() {             # side workload seed [trace [samples file]]
     local out="$tmp/run.out"
     if ! CARGO_TARGET_DIR="$(target_of "$1")" bash "$(tree_of "$1")/benchmark/run.sh" \
-            --workload "$2" --seed "$3" --trace 0 >"$out" 2>"$tmp/run.err"; then
+            --workload "$2" --seed "$3" --trace "${4:-0}" >"$out" 2>"$tmp/run.err"; then
         echo "FAIL: $1 $2 seed $3 exited non-zero" >&2
         tail -5 "$tmp/run.err" >&2
         failed=1
@@ -88,7 +96,7 @@ run_side() {             # side workload seed
         failed=1
     fi
     # Metric lines read `name unit value  # how it was taken`.
-    awk -v w="$2" -v s="$1" '/^[a-z0-9_.]+ [^ ]+ [-0-9.eE+]+( |$)/ { print w, $1, s, $3 }' "$out" >>"$samples"
+    awk -v w="$2" -v s="$1" '/^[a-z0-9_.]+ [^ ]+ [-0-9.eE+]+( |$)/ { print w, $1, s, $3 }' "$out" >>"${5:-$samples}"
 }
 for workload in "${workloads[@]}"; do
     for pair in $(seq 1 "$pairs"); do
@@ -99,6 +107,19 @@ for workload in "${workloads[@]}"; do
         done
     done
 done
+layer_samples="$tmp/layer_samples"
+: >"$layer_samples"
+if [ "$layers" = 1 ]; then
+    flip=0
+    for workload in "${workloads[@]}"; do
+        if [ "$flip" = 0 ]; then order=(parent change); else order=(change parent); fi
+        flip=$((1 - flip))
+        for side in "${order[@]}"; do
+            echo "# $workload traced: $side" >&2
+            run_side "$side" "$workload" 1 1 "$layer_samples"
+        done
+    done
+fi
 
 # Samples of one (workload, metric, side), in pair order.
 of() { awk -v w="$1" -v m="$2" -v s="$3" '$1 == w && $2 == m && $3 == s { print $4 }' "$samples"; }
@@ -176,4 +197,20 @@ cat "$tmp/rows" "$tmp/unresolved"
 cat "$tmp/claims"
 echo "# ratio = change / parent of the medians; worse = by how much the change's median is on the wrong side (negative: better); wins = pairs the change won"
 echo "# UNRESOLVED = within the bound on medians, but the parent's quartiles are further apart than the bound and the runs overlap: run more pairs or read the per-layer cells"
+
+if [ "$layers" = 1 ]; then
+    median() { sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) print "-"; else printf "%.6g\n", (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+    echo
+    layer_row='%-14s %-26s %12s %12s %7s\n'
+    printf "$layer_row" workload "layer (--trace 1)" parent.med change.med ratio
+    for workload in "${workloads[@]}"; do
+        for metric in core.makesafe_us_per_tx delta.compose_us core.propagate_p50_us core.refresh_p50_us core.mv_write_hold_us; do
+            pm="$(awk -v w="$workload" -v m="$metric" '$1 == w && $2 == m && $3 == "parent" { print $4 }' "$layer_samples" | median)"
+            cm="$(awk -v w="$workload" -v m="$metric" '$1 == w && $2 == m && $3 == "change" { print $4 }' "$layer_samples" | median)"
+            ratio="$(awk -v p="$pm" -v c="$cm" 'BEGIN { print (p + 0 > 0 && c != "-") ? sprintf("%.3f", c / p) : "-" }')"
+            printf "$layer_row" "$workload" "$metric" "$pm" "$cm" "$ratio"
+        done
+    done
+    echo "# per-layer medians of the traced runs, not judged; ratio = change / parent"
+fi
 exit "$failed"
